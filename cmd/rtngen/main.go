@@ -59,69 +59,14 @@ func main() {
 		log.Printf("metrics at http://%s/metrics", srv.Addr())
 	}
 
-	tech := device.Node(*techName)
-	dev := device.NewMOS(tech, device.NMOS, *wMult*tech.Lmin, tech.Lmin)
-	ctx := tech.TrapContext(tech.Vdd)
-	root := rng.New(*seed)
-
-	profiler := tech.TrapProfiler()
-	profile := profiler.Sample(dev.W, dev.L, ctx, root.Split(1))
-	if *nTraps > 0 {
-		profile = profiler.SampleN(*nTraps, ctx, root.Split(1))
-	}
-	log.Printf("device %s W=%.0fnm L=%.0fnm, %d traps", *techName, dev.W*1e9, dev.L*1e9, len(profile.Traps))
-
-	var bias markov.BiasFunc
-	var vgsWave *waveform.PWL
-	switch {
-	case *sqLo >= 0 && *sqHi >= 0:
-		lo, hi, p := *sqLo, *sqHi, *period
-		bias = func(t float64) float64 {
-			if int(t/(p/2))%2 == 0 {
-				return hi
-			}
-			return lo
-		}
-		// Dense PWL mirror of the square wave for Eq (3).
-		n := int(*duration / (p / 2))
-		ts := make([]float64, 0, 2*n+2)
-		vs := make([]float64, 0, 2*n+2)
-		for k := 0; k*int(1) <= n; k++ {
-			t := float64(k) * p / 2
-			if t > *duration {
-				break
-			}
-			ts = append(ts, t)
-			vs = append(vs, bias(t+p/4))
-		}
-		var err error
-		vgsWave, err = waveform.New(ts, vs)
-		if err != nil {
-			log.Fatal(err)
-		}
-	default:
-		v := *vgs
-		if v < 0 {
-			v = tech.Vdd
-		}
-		bias = markov.ConstantBias(v)
-		vgsWave = waveform.Constant(v)
-	}
-
-	span := obs.StartSpan("rtngen")
-	uni := span.Child("uniformise")
-	paths, err := markov.UniformiseProfile(profile, bias, 0, *duration, root.Split(2))
+	trace, paths, err := generate(genConfig{
+		tech: *techName, wMult: *wMult, vgs: *vgs, id: *id, duration: *duration,
+		samples: *samples, seed: *seed, traps: *nTraps,
+		sqLo: *sqLo, sqHi: *sqHi, period: *period,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	uni.End()
-	comp := span.Child("compose")
-	trace, err := rtn.Compose(paths, dev, vgsWave, waveform.Constant(*id), 0, *duration, *samples)
-	if err != nil {
-		log.Fatal(err)
-	}
-	comp.End()
-	span.End()
 	times, counts := rtn.NFilled(paths)
 
 	transitions := 0
@@ -139,4 +84,83 @@ func main() {
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// genConfig carries the command-line parameters of one generation.
+type genConfig struct {
+	tech                     string
+	wMult, vgs, id, duration float64
+	samples                  int
+	seed                     uint64
+	traps                    int
+	sqLo, sqHi, period       float64
+}
+
+// generate samples the device's trap profile, simulates every trap
+// under the configured gate bias and composes the Eq (3) trace.
+func generate(c genConfig) (*rtn.Trace, []*markov.Path, error) {
+	tech := device.Node(c.tech)
+	dev := device.NewMOS(tech, device.NMOS, c.wMult*tech.Lmin, tech.Lmin)
+	ctx := tech.TrapContext(tech.Vdd)
+	root := rng.New(c.seed)
+
+	profiler := tech.TrapProfiler()
+	profile := profiler.Sample(dev.W, dev.L, ctx, root.Split(1))
+	if c.traps > 0 {
+		profile = profiler.SampleN(c.traps, ctx, root.Split(1))
+	}
+	log.Printf("device %s W=%.0fnm L=%.0fnm, %d traps", c.tech, dev.W*1e9, dev.L*1e9, len(profile.Traps))
+
+	var bias markov.BiasFunc
+	var vgsWave *waveform.PWL
+	switch {
+	case c.sqLo >= 0 && c.sqHi >= 0:
+		lo, hi, p := c.sqLo, c.sqHi, c.period
+		bias = func(t float64) float64 {
+			if int(t/(p/2))%2 == 0 {
+				return hi
+			}
+			return lo
+		}
+		// Dense PWL mirror of the square wave for Eq (3).
+		n := int(c.duration / (p / 2))
+		ts := make([]float64, 0, 2*n+2)
+		vs := make([]float64, 0, 2*n+2)
+		for k := 0; k*int(1) <= n; k++ {
+			t := float64(k) * p / 2
+			if t > c.duration {
+				break
+			}
+			ts = append(ts, t)
+			vs = append(vs, bias(t+p/4))
+		}
+		var err error
+		vgsWave, err = waveform.New(ts, vs)
+		if err != nil {
+			return nil, nil, err
+		}
+	default:
+		v := c.vgs
+		if v < 0 {
+			v = tech.Vdd
+		}
+		bias = markov.ConstantBias(v)
+		vgsWave = waveform.Constant(v)
+	}
+
+	span := obs.StartSpan("rtngen")
+	uni := span.Child("uniformise")
+	paths, err := markov.UniformiseProfile(profile, bias, 0, c.duration, root.Split(2))
+	if err != nil {
+		return nil, nil, err
+	}
+	uni.End()
+	comp := span.Child("compose")
+	trace, err := rtn.Compose(paths, dev, vgsWave, waveform.Constant(c.id), 0, c.duration, c.samples)
+	if err != nil {
+		return nil, nil, err
+	}
+	comp.End()
+	span.End()
+	return trace, paths, nil
 }
