@@ -58,7 +58,7 @@ func ArrayRunnerCtx() montecarlo.CtxRunner {
 // Config.TiltEV set and reports, alongside the usual counts, the
 // exact log-likelihood ratio of its trap paths and the glitch-depth
 // level value of its Q waveform. At tiltEV == 0 the run takes the
-// same code path as ArrayRunnerCtx (the untilted batch kernel), so
+// same code path as ArrayRunnerCtx (the kernel's untilted loops), so
 // counts and outcomes are bit-identical to the naive sweep and the
 // log-LR is exactly 0.
 func RareArrayRunnerCtx() montecarlo.RareCtxRunner {

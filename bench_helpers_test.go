@@ -25,7 +25,7 @@ func benchCoreUniformise(b *testing.B) {
 	b.ResetTimer()
 	events := 0
 	for i := 0; i < b.N; i++ {
-		p, err := markov.Uniformise(ctx, tr, markov.ConstantBias(tech.Vdd), 0, horizon, r.Split(uint64(i)))
+		p, _, err := markov.Reference(ctx, tr, waveform.Constant(tech.Vdd).Eval, 0, horizon, 0, r.Split(uint64(i)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,10 +34,10 @@ func benchCoreUniformise(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "transitions/op")
 }
 
-// benchBatchUniformise runs the batched SoA kernel on n lanes of the
+// benchBatchUniformise runs the compiled kernel on n lanes of the
 // BenchmarkCoreUniformise workload (same trap, same constant bias, same
 // 10⁴-candidate horizon per lane) and reports the per-trap-path cost.
-// The sequential kernel runs inside the same op with the timer stopped,
+// The literal reference kernel runs inside the same op with the timer stopped,
 // so the reported speedup-x is a same-run, same-thermal-state ratio —
 // comparing ns/op across two separately-timed benchmarks is ±15% on a
 // frequency-scaling host, which would make the ≥5x gate meaningless.
@@ -59,7 +59,7 @@ func benchBatchUniformise(b *testing.B, n int) {
 	events := 0
 	var seqNs int64
 	for i := 0; i < b.N; i++ {
-		paths, err := bs.Run(ctx, traps, bias, 0, horizon, r.Split(uint64(i)))
+		paths, _, err := bs.Run(ctx, traps, bias, 0, horizon, 0, r.Split(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func benchBatchUniformise(b *testing.B, n int) {
 		parent := r.Split(uint64(i))
 		start := time.Now()
 		for k := 0; k < n; k++ {
-			p, err := markov.Uniformise(ctx, tr, markov.ConstantBias(tech.Vdd), 0, horizon, parent.Split(uint64(k)))
+			p, _, err := markov.Reference(ctx, tr, waveform.Constant(tech.Vdd).Eval, 0, horizon, 0, parent.Split(uint64(k)), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -205,14 +205,15 @@ func BenchmarkArrayMonteCarlo(b *testing.B) {
 	b.ReportMetric(rate, "rtn-error-rate")
 }
 
-// BenchmarkCoreUniformise measures the raw SAMURAI kernel: one active
-// trap simulated for 10⁴ expected candidate events.
+// BenchmarkCoreUniformise measures Algorithm 1 written out literally
+// (markov.Reference): one active trap simulated for 10⁴ expected
+// candidate events.
 func BenchmarkCoreUniformise(b *testing.B) {
 	b.ReportAllocs()
 	benchCoreUniformise(b)
 }
 
-// BenchmarkBatchUniformise measures the batched SoA kernel at several
+// BenchmarkBatchUniformise measures the compiled kernel at several
 // lane counts on the BenchmarkCoreUniformise workload. The ns/trap-path
 // metric at N=64 against BenchmarkCoreUniformise's ns/op is the PR 8
 // ≥5x acceptance ratio (recorded in BENCH_8.json).

@@ -22,14 +22,9 @@ go test -bench=. -benchtime=1x -run='^$' . > bench.txt
 # non-zero if any gate fails; the per-gate α is budgeted so a false
 # alarm on a correct simulator has probability < 1e-6 per run.
 go run ./cmd/samuraivv -seed 1 -o vv_report.json
-# The same synthetic matrix through the batched SoA kernel: after
-# normalising the kernel field the report must be byte-identical to the
-# sequential run (lane streams derive identically by construction).
-go run ./cmd/samuraivv -seed 1 -e2e=false -kernel batch -o vv_report_batch.json
-go run ./cmd/samuraivv -seed 1 -e2e=false -o vv_seq_norm.json
-sed 's/"kernel": "batch"/"kernel": "sequential"/' vv_report_batch.json > vv_batch_norm.json
-cmp vv_seq_norm.json vv_batch_norm.json
-rm -f vv_seq_norm.json vv_batch_norm.json
+# The seed-1 report of the synthetic and rare rows, pinned byte for
+# byte against internal/vv/testdata/report_seed1.json.
+go test -run '^TestReportGoldenSeed1$' ./internal/vv
 
 # Rare-event unbiasedness battery (DESIGN.md §15): importance-sampled
 # occupancy means vs the closed-form master equation at several tilt

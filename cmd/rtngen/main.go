@@ -12,6 +12,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,6 +21,7 @@ import (
 	"samurai/internal/device"
 	"samurai/internal/markov"
 	"samurai/internal/obs"
+	"samurai/internal/obs/trace"
 	"samurai/internal/rng"
 	"samurai/internal/rtn"
 	"samurai/internal/waveform"
@@ -59,7 +61,7 @@ func main() {
 		log.Printf("metrics at http://%s/metrics", srv.Addr())
 	}
 
-	trace, paths, err := generate(genConfig{
+	tr, paths, err := generate(context.Background(), genConfig{
 		tech: *techName, wMult: *wMult, vgs: *vgs, id: *id, duration: *duration,
 		samples: *samples, seed: *seed, traps: *nTraps,
 		sqLo: *sqLo, sqHi: *sqHi, period: *period,
@@ -74,12 +76,12 @@ func main() {
 		transitions += p.Transitions()
 	}
 	log.Printf("%d trap transitions; trace max %.3g A, mean %.3g A",
-		transitions, trace.MaxAbs(), trace.Mean())
+		transitions, tr.MaxAbs(), tr.Mean())
 
 	w := bufio.NewWriter(os.Stdout)
 	fmt.Fprintln(w, "time_s,i_rtn_A,n_filled")
-	for i := range trace.T {
-		fmt.Fprintf(w, "%.9e,%.9e,%d\n", trace.T[i], trace.I[i], rtn.CountAt(times, counts, trace.T[i]))
+	for i := range tr.T {
+		fmt.Fprintf(w, "%.9e,%.9e,%d\n", tr.T[i], tr.I[i], rtn.CountAt(times, counts, tr.T[i]))
 	}
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)
@@ -96,71 +98,49 @@ type genConfig struct {
 	sqLo, sqHi, period       float64
 }
 
+// biasWave returns the gate bias: a square wave that is hi for the
+// first half of every period in square mode, else the constant -vgs
+// (nominal vdd when unset).
+func biasWave(c genConfig, vdd float64) *waveform.PWL {
+	switch {
+	case c.sqLo >= 0 && c.sqHi >= 0:
+		return waveform.Square(c.sqLo, c.sqHi, c.period, 0.5, c.duration)
+	case c.vgs < 0:
+		return waveform.Constant(vdd)
+	}
+	return waveform.Constant(c.vgs)
+}
+
 // generate samples the device's trap profile, simulates every trap
 // under the configured gate bias and composes the Eq (3) trace.
-func generate(c genConfig) (*rtn.Trace, []*markov.Path, error) {
+func generate(ctx context.Context, c genConfig) (*rtn.Trace, []*markov.Path, error) {
 	tech := device.Node(c.tech)
 	dev := device.NewMOS(tech, device.NMOS, c.wMult*tech.Lmin, tech.Lmin)
-	ctx := tech.TrapContext(tech.Vdd)
+	tctx := tech.TrapContext(tech.Vdd)
 	root := rng.New(c.seed)
 
 	profiler := tech.TrapProfiler()
-	profile := profiler.Sample(dev.W, dev.L, ctx, root.Split(1))
+	profile := profiler.Sample(dev.W, dev.L, tctx, root.Split(1))
 	if c.traps > 0 {
-		profile = profiler.SampleN(c.traps, ctx, root.Split(1))
+		profile = profiler.SampleN(c.traps, tctx, root.Split(1))
 	}
 	log.Printf("device %s W=%.0fnm L=%.0fnm, %d traps", c.tech, dev.W*1e9, dev.L*1e9, len(profile.Traps))
 
-	var bias markov.BiasFunc
-	var vgsWave *waveform.PWL
-	switch {
-	case c.sqLo >= 0 && c.sqHi >= 0:
-		lo, hi, p := c.sqLo, c.sqHi, c.period
-		bias = func(t float64) float64 {
-			if int(t/(p/2))%2 == 0 {
-				return hi
-			}
-			return lo
-		}
-		// Dense PWL mirror of the square wave for Eq (3).
-		n := int(c.duration / (p / 2))
-		ts := make([]float64, 0, 2*n+2)
-		vs := make([]float64, 0, 2*n+2)
-		for k := 0; k*int(1) <= n; k++ {
-			t := float64(k) * p / 2
-			if t > c.duration {
-				break
-			}
-			ts = append(ts, t)
-			vs = append(vs, bias(t+p/4))
-		}
-		var err error
-		vgsWave, err = waveform.New(ts, vs)
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
-		v := c.vgs
-		if v < 0 {
-			v = tech.Vdd
-		}
-		bias = markov.ConstantBias(v)
-		vgsWave = waveform.Constant(v)
-	}
-
-	span := obs.StartSpan("rtngen")
-	uni := span.Child("uniformise")
-	paths, err := markov.UniformiseProfile(profile, bias, 0, c.duration, root.Split(2))
-	if err != nil {
-		return nil, nil, err
-	}
+	// One bias waveform feeds both Algorithm 1 and Eq (3).
+	vgsWave := biasWave(c, tech.Vdd)
+	ctx, span := trace.Start(ctx, "rtngen")
+	defer span.End()
+	_, uni := trace.Start(ctx, "uniformise")
+	paths, _, err := markov.NewBatchState().Run(profile.Ctx, profile.Traps, vgsWave, 0, c.duration, 0, root.Split(2))
 	uni.End()
-	comp := span.Child("compose")
-	trace, err := rtn.Compose(paths, dev, vgsWave, waveform.Constant(c.id), 0, c.duration, c.samples)
 	if err != nil {
 		return nil, nil, err
 	}
+	_, comp := trace.Start(ctx, "compose")
+	tr, err := rtn.Compose(paths, dev, vgsWave, waveform.Constant(c.id), 0, c.duration, c.samples)
 	comp.End()
-	span.End()
-	return trace, paths, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, paths, nil
 }

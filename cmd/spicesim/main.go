@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -27,6 +28,7 @@ import (
 
 	"samurai/internal/circuit"
 	"samurai/internal/obs"
+	"samurai/internal/obs/trace"
 )
 
 func main() {
@@ -103,7 +105,7 @@ func emit(w *bufio.Writer, deck *circuit.Deck) error {
 		return nil
 	}
 
-	res, err := runTran(deck)
+	res, err := runTran(context.Background(), deck)
 	if err != nil {
 		return err
 	}
@@ -127,8 +129,8 @@ func emit(w *bufio.Writer, deck *circuit.Deck) error {
 // runTran drives the deck's transient analysis step by step (exactly
 // what Deck.RunTran does internally) so a progress event can be emitted
 // at each 10% mark of simulated time.
-func runTran(deck *circuit.Deck) (*circuit.TransientResult, error) {
-	span := obs.StartSpan("spicesim.tran")
+func runTran(ctx context.Context, deck *circuit.Deck) (*circuit.TransientResult, error) {
+	_, span := trace.Start(ctx, "spicesim.tran")
 	defer span.End()
 	r, err := deck.Circuit.NewRunner(deck.Tran)
 	if err != nil {

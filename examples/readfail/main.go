@@ -53,7 +53,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			paths, err := markov.UniformiseProfile(profile, markov.PWLBias(vgs), 0, total, root.Split(uint64(20+i)))
+			paths, _, err := markov.NewBatchState().Run(profile.Ctx, profile.Traps, vgs, 0, total, 0, root.Split(uint64(20+i)))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -15,6 +15,7 @@ import (
 	"samurai/internal/rng"
 	"samurai/internal/rtn"
 	"samurai/internal/trap"
+	"samurai/internal/waveform"
 )
 
 func main() {
@@ -37,7 +38,7 @@ func main() {
 	const samples = 1 << 19
 	horizon := 4e4 / ls
 	dt := horizon / samples
-	path, err := markov.Uniformise(ctx, tr, markov.ConstantBias(vgs), 0, horizon, rng.New(7))
+	path, err := markov.Uniformise(ctx, tr, waveform.Constant(vgs), 0, horizon, rng.New(7))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestStationaryTraceIgnoresBias(t *testing.T) {
 	}
 	// For contrast, the exact non-stationary simulation at the actual
 	// pinned bias produces (almost) no transitions.
-	exact, err := markov.Uniformise(ctx, tr, markov.ConstantBias(0), 0, horizon, rng.New(4))
+	exact, err := markov.Uniformise(ctx, tr, waveform.Constant(0), 0, horizon, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"samurai/internal/rtn"
 	"samurai/internal/trap"
 	"samurai/internal/units"
+	"samurai/internal/waveform"
 )
 
 // CellConfig describes the 1T1C cell. DRAM access transistors use a
@@ -182,7 +183,7 @@ func SimulateVRT(cfg CellConfig, tr trap.Trap, ctx trap.Context, epochs int, r *
 		return nil, errors.New("dram: empty horizon")
 	}
 	// The trap's gate sees the (low) wordline during retention.
-	path, err := markov.Uniformise(ctx, tr, markov.ConstantBias(0), 0, horizon, r)
+	path, err := markov.Uniformise(ctx, tr, waveform.Constant(0), 0, horizon, r)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"samurai/internal/rng"
 	"samurai/internal/rtn"
 	"samurai/internal/trap"
+	"samurai/internal/waveform"
 )
 
 // Fig3Device is the spectral analysis of one sampled device instance.
@@ -120,6 +121,8 @@ func fig3Tech(name string, wOverL float64, cfg Fig3Config, root *rng.Stream) (*F
 
 	res := &Fig3TechResult{Tech: name, WOverL: wOverL}
 	trapTotal := 0
+	bias := waveform.Constant(vgs)
+	var bs markov.BatchState
 	for d := 0; d < cfg.Devices; d++ {
 		r := root.Split(uint64(d))
 		profile := profiler.Sample(w, l, ctx, r.Split(0))
@@ -131,7 +134,7 @@ func fig3Tech(name string, wOverL float64, cfg Fig3Config, root *rng.Stream) (*F
 				sim.Traps = append(sim.Traps, tr)
 			}
 		}
-		paths, err := markov.UniformiseProfile(sim, markov.ConstantBias(vgs), 0, cfg.Window, r.Split(1))
+		paths, _, err := bs.Run(ctx, sim.Traps, bias, 0, cfg.Window, 0, r.Split(1))
 		if err != nil {
 			return nil, err
 		}

@@ -18,6 +18,7 @@ import (
 	"samurai/internal/rtn"
 	"samurai/internal/trap"
 	"samurai/internal/units"
+	"samurai/internal/waveform"
 )
 
 // Fig7Sweep identifies which trap parameter a validation run sweeps.
@@ -177,7 +178,7 @@ func validateTrap(ctx trap.Context, tr trap.Trap, vgs float64, dev device.MOSPar
 	dt := horizon / float64(samples)
 
 	tr.InitFilled = r.Float64() < p // start at stationarity
-	path, err := markov.Uniformise(ctx, tr, markov.ConstantBias(vgs), 0, horizon, r)
+	path, err := markov.Uniformise(ctx, tr, waveform.Constant(vgs), 0, horizon, r)
 	if err != nil {
 		return Fig7Point{}, err
 	}

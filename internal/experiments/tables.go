@@ -13,6 +13,7 @@ import (
 	"samurai/internal/rtn"
 	"samurai/internal/trap"
 	"samurai/internal/units"
+	"samurai/internal/waveform"
 )
 
 // ---------------------------------------------------------------------
@@ -99,13 +100,16 @@ func T1(cfg T1Config) (*T1Result, error) {
 	return res, nil
 }
 
+// t1Uniform measures the uniformisation column. The sinusoidal bias is
+// analytic, not a PWL, so this column runs the literal per-candidate
+// kernel (markov.Reference) rather than the compiled one.
 func t1Uniform(ctx trap.Context, tr trap.Trap, bias markov.BiasFunc, t0, t1 float64, pExact []float64, nPaths int, r *rng.Stream) (maxErr, events, perPathNs float64, err error) {
 	grid := len(pExact) - 1
 	counts := make([]float64, grid+1)
 	start := time.Now()
 	total := 0
 	for k := 0; k < nPaths; k++ {
-		p, e := markov.Uniformise(ctx, tr, bias, t0, t1, r.Split(uint64(k)))
+		p, _, e := markov.Reference(ctx, tr, bias, t0, t1, 0, r.Split(uint64(k)), nil)
 		if e != nil {
 			return 0, 0, 0, e
 		}
@@ -242,14 +246,8 @@ func T2(cfg T2Config) (*T2Result, error) {
 	}
 
 	for i, duty := range []float64{1.0, 0.75, 0.5, 0.25} {
-		bias := func(t float64) float64 {
-			frac := t/period - math.Floor(t/period)
-			if frac < duty {
-				return vHi
-			}
-			return vLo
-		}
-		paths, err := markov.UniformiseProfile(slow, bias, 0, horizon, root.Split(uint64(100+i)))
+		bias := waveform.Square(vLo, vHi, period, duty, horizon)
+		paths, _, err := markov.NewBatchState().Run(slow.Ctx, slow.Traps, bias, 0, horizon, 0, root.Split(uint64(100+i)))
 		if err != nil {
 			return nil, err
 		}

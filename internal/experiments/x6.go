@@ -8,6 +8,7 @@ import (
 	"samurai/internal/pll"
 	"samurai/internal/rng"
 	"samurai/internal/trap"
+	"samurai/internal/waveform"
 )
 
 // X6Row is one RTN-amplitude point of the PLL cycle-slip study.
@@ -71,7 +72,7 @@ func X6(cfg X6Config) (*X6Result, error) {
 	tr := trap.Trap{Y: yDepth, E: 0}
 	ls := ctx.RateSum(tr)
 	horizon := 40 / ls
-	path, err := markov.Uniformise(ctx, tr, markov.ConstantBias(ctx.VRef), 0, horizon, rng.New(cfg.Seed))
+	path, err := markov.Uniformise(ctx, tr, waveform.Constant(ctx.VRef), 0, horizon, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,9 @@ import (
 	"go/types"
 )
 
-// SpanEnd requires that every span created via the obs/trace layer —
-// obs.StartSpan, (*obs.Span).Child, trace.Start, trace.StartInst, or
-// any other call returning a span — is Ended on all paths of the
+// SpanEnd requires that every span created via the trace layer —
+// trace.Start, trace.StartInst, or any other call returning a
+// *trace.Span — is Ended on all paths of the
 // creating function. A span that is never Ended silently loses its
 // histogram observation, its trace record and its flight-recorder note,
 // so the exported trace under-reports exactly the code path being
@@ -31,7 +31,7 @@ const spanendName = "spanend"
 
 var spanEndRule = Rule{
 	Name:  spanendName,
-	Doc:   "spans from obs.StartSpan/Span.Child/trace.Start must be Ended on all paths (defer or explicit)",
+	Doc:   "spans from trace.Start/StartInst must be Ended on all paths (defer or explicit)",
 	Check: checkSpanEnd,
 }
 
@@ -56,10 +56,10 @@ func checkSpanEnd(pkg *Package) []Diagnostic {
 // spanendTracked is one span variable created in the function under
 // analysis.
 type spanendTracked struct {
-	obj    types.Object // identity in typed files; nil in test files
-	name   string       // identity fallback for untyped files
-	defIdent *ast.Ident // the defining occurrence (skipped as a use)
-	pos    token.Pos    // creation position
+	obj      types.Object // identity in typed files; nil in test files
+	name     string       // identity fallback for untyped files
+	defIdent *ast.Ident   // the defining occurrence (skipped as a use)
+	pos      token.Pos    // creation position
 }
 
 // spanendCheckBody analyses one function body. Span creations are
@@ -181,8 +181,8 @@ func spanendCheckBody(pkg *Package, body *ast.BlockStmt, out *[]Diagnostic) {
 			for _, r := range returns {
 				if r > tr.pos && r < lastEnd {
 					*out = append(*out, Diagnostic{
-						Rule:    spanendName,
-						Pos:     pkg.Fset.Position(tr.pos),
+						Rule: spanendName,
+						Pos:  pkg.Fset.Position(tr.pos),
 						Message: fmt.Sprintf("span %s leaks on the return at line %d; End it before returning or use defer",
 							tr.name, pkg.Fset.Position(r).Line),
 					})
@@ -270,7 +270,7 @@ func spanendSameVar(pkg *Package, id *ast.Ident, tr spanendTracked) bool {
 
 // spanendSpanIndex reports whether call creates a span and at which
 // result index the span sits. With type information any call whose
-// results include exactly one obs or trace span pointer matches; in
+// results include exactly one trace span pointer matches; in
 // untyped (test) files only the qualified creation calls are
 // recognised, so unqualified in-package helpers never false-positive.
 func spanendSpanIndex(pkg *Package, call *ast.CallExpr) (int, bool) {
@@ -293,29 +293,20 @@ func spanendSpanIndex(pkg *Package, call *ast.CallExpr) (int, bool) {
 			}
 		}
 	}
-	switch {
-	case pkg.isPkgDot(call.Fun, "samurai/internal/obs", "StartSpan"):
-		return 0, true
-	case pkg.isPkgDot(call.Fun, "samurai/internal/obs/trace", "Start"),
-		pkg.isPkgDot(call.Fun, "samurai/internal/obs/trace", "StartInst"):
+	if pkg.isPkgDot(call.Fun, "samurai/internal/obs/trace", "Start") ||
+		pkg.isPkgDot(call.Fun, "samurai/internal/obs/trace", "StartInst") {
 		return 1, true
 	}
 	return -1, false
 }
 
-// spanendIsSpanPtr reports whether t is *obs.Span or *trace.Span.
+// spanendIsSpanPtr reports whether t is *trace.Span.
 func spanendIsSpanPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}
 	named, ok := ptr.Elem().(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Name() != "Span" {
-		return false
-	}
-	switch named.Obj().Pkg().Path() {
-	case "samurai/internal/obs", "samurai/internal/obs/trace":
-		return true
-	}
-	return false
+	return ok && named.Obj().Pkg() != nil && named.Obj().Name() == "Span" &&
+		named.Obj().Pkg().Path() == "samurai/internal/obs/trace"
 }

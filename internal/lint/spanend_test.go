@@ -2,21 +2,9 @@ package lint
 
 import "testing"
 
-// obsStub mirrors the span surface of samurai/internal/obs so fixtures
-// type-check against the real package path the rule matches on.
-const obsStub = `package obs
-
-type Span struct{ name string }
-
-func StartSpan(name string) *Span { return &Span{name: name} }
-
-func (s *Span) Child(name string) *Span { return &Span{name: name} }
-func (s *Span) Name() string            { return s.name }
-func (s *Span) End() int                { return 0 }
-`
-
 // traceStub mirrors the (ctx, span) surface of
-// samurai/internal/obs/trace.
+// samurai/internal/obs/trace so fixtures type-check against the real
+// package path the rule matches on.
 const traceStub = `package trace
 
 import "context"
@@ -38,7 +26,6 @@ func (s *Span) SpanID() uint64 { return 0 }
 
 func spanendFixture(body string) map[string]string {
 	return map[string]string{
-		"internal/obs/span.go":        obsStub,
 		"internal/obs/trace/trace.go": traceStub,
 		"sim/sim.go":                  body,
 	}
@@ -47,11 +34,15 @@ func spanendFixture(body string) map[string]string {
 func TestSpanEndFlagsNeverEndedSpan(t *testing.T) {
 	files := spanendFixture(`package sim
 
-import "samurai/internal/obs"
+import (
+	"context"
 
-func Work() {
-	sp := obs.StartSpan("work")
-	_ = sp.Name()
+	"samurai/internal/obs/trace"
+)
+
+func Work(ctx context.Context) {
+	_, sp := trace.Start(ctx, "work")
+	_ = sp.Path()
 }
 `)
 	wantFindings(t, diags(t, files, spanEndRule), 1)
@@ -63,15 +54,14 @@ func TestSpanEndAcceptsDeferredEnd(t *testing.T) {
 import (
 	"context"
 
-	"samurai/internal/obs"
 	"samurai/internal/obs/trace"
 )
 
 func Work(ctx context.Context) {
-	sp := obs.StartSpan("work")
+	ctx, sp := trace.Start(ctx, "work")
 	defer sp.End()
 
-	ctx, tsp := trace.Start(ctx, "phase")
+	ctx, tsp := trace.StartInst(ctx, "phase", 2)
 	defer tsp.End()
 	_ = ctx
 }
@@ -82,10 +72,14 @@ func Work(ctx context.Context) {
 func TestSpanEndAcceptsDeferredClosureEnd(t *testing.T) {
 	files := spanendFixture(`package sim
 
-import "samurai/internal/obs"
+import (
+	"context"
 
-func Work() {
-	sp := obs.StartSpan("work")
+	"samurai/internal/obs/trace"
+)
+
+func Work(ctx context.Context) {
+	_, sp := trace.Start(ctx, "work")
 	defer func() {
 		sp.End()
 	}()
@@ -98,11 +92,15 @@ func TestSpanEndAcceptsStraightLineExplicitEnd(t *testing.T) {
 	// The rtngen pattern: create, work, End, no return in between.
 	files := spanendFixture(`package sim
 
-import "samurai/internal/obs"
+import (
+	"context"
 
-func Work() {
-	sp := obs.StartSpan("work")
-	child := sp.Child("inner")
+	"samurai/internal/obs/trace"
+)
+
+func Work(ctx context.Context) {
+	ctx, sp := trace.Start(ctx, "work")
+	_, child := trace.Start(ctx, "inner")
 	child.End()
 	sp.End()
 }
@@ -113,10 +111,14 @@ func Work() {
 func TestSpanEndFlagsReturnBetweenCreateAndEnd(t *testing.T) {
 	files := spanendFixture(`package sim
 
-import "samurai/internal/obs"
+import (
+	"context"
 
-func Work(fail bool) error {
-	sp := obs.StartSpan("work")
+	"samurai/internal/obs/trace"
+)
+
+func Work(ctx context.Context, fail bool) error {
+	_, sp := trace.Start(ctx, "work")
 	if fail {
 		return nil // leaks sp
 	}
@@ -133,14 +135,13 @@ func TestSpanEndFlagsDiscardedResults(t *testing.T) {
 import (
 	"context"
 
-	"samurai/internal/obs"
 	"samurai/internal/obs/trace"
 )
 
 func Work(ctx context.Context) {
-	obs.StartSpan("dropped")
-	_ = obs.StartSpan("blank")
-	_, _ = trace.Start(ctx, "blank2")
+	trace.Start(ctx, "dropped")
+	_, _ = trace.Start(ctx, "blank")
+	_, _ = trace.StartInst(ctx, "blank2", 1)
 }
 `)
 	wantFindings(t, diags(t, files, spanEndRule), 3)
@@ -149,27 +150,31 @@ func Work(ctx context.Context) {
 func TestSpanEndSkipsEscapingSpans(t *testing.T) {
 	files := spanendFixture(`package sim
 
-import "samurai/internal/obs"
+import (
+	"context"
 
-type holder struct{ sp *obs.Span }
+	"samurai/internal/obs/trace"
+)
 
-func finish(sp *obs.Span) { sp.End() }
+type holder struct{ sp *trace.Span }
+
+func finish(sp *trace.Span) { sp.End() }
 
 // Returned: the caller owns the End.
-func Open() *obs.Span {
-	sp := obs.StartSpan("open")
+func Open(ctx context.Context) *trace.Span {
+	_, sp := trace.Start(ctx, "open")
 	return sp
 }
 
 // Passed on: finish owns the End.
-func Delegate() {
-	sp := obs.StartSpan("delegate")
+func Delegate(ctx context.Context) {
+	_, sp := trace.Start(ctx, "delegate")
 	finish(sp)
 }
 
 // Stored: the holder owns the End.
-func Stash(h *holder) {
-	sp := obs.StartSpan("stash")
+func Stash(ctx context.Context, h *holder) {
+	_, sp := trace.Start(ctx, "stash")
 	h.sp = sp
 }
 `)
@@ -199,11 +204,15 @@ func Work(ctx context.Context) {
 func TestSpanEndHonoursIgnoreDirective(t *testing.T) {
 	files := spanendFixture(`package sim
 
-import "samurai/internal/obs"
+import (
+	"context"
 
-func Work() {
+	"samurai/internal/obs/trace"
+)
+
+func Work(ctx context.Context) {
 	//lint:ignore spanend span deliberately left open for the process lifetime
-	sp := obs.StartSpan("work")
+	_, sp := trace.Start(ctx, "work")
 	_ = sp
 }
 `)

@@ -1,11 +1,9 @@
 package markov
 
 import (
-	"context"
 	"math"
 	"sort"
 
-	"samurai/internal/obs/trace"
 	"samurai/internal/rng"
 	"samurai/internal/trap"
 	"samurai/internal/waveform"
@@ -25,7 +23,7 @@ const two53 = 1 << 53
 // horizon is unobservable: lane child streams exist only for the
 // duration of one Run, and entry i of a fill is a pure prefix function
 // of the stream (see FillCandidates), so paths stay bit-identical to
-// sequential no matter where the chunk boundaries fall.
+// Reference no matter where the chunk boundaries fall.
 const candChunk = 64
 
 // BatchState is the reusable workspace of the batched uniformisation
@@ -33,10 +31,12 @@ const candChunk = 64
 // walk over the bias PWL's segments. All slices are lane-indexed and
 // grow monotonically, so a steady-state Run allocates nothing beyond
 // the returned paths (whose backing arrays are pre-sized from the
-// previous Run's transition counts).
+// previous Run's transition counts) and log-LRs.
 type BatchState struct {
 	streams []rng.Stream        // lane rng, re-derived per Run via SplitInto
 	comp    []trap.CompiledTrap // bias-independent trap constants
+	til     []trap.CompiledTrap // comp under the Run's energy tilt
+	logLR   []float64           // log-likelihood ratio per lane, returned by Run
 	t       []float64           // current candidate instant per lane
 	filled  []bool              // current trap state per lane
 	cand    []int64             // candidates drawn in [t0, tf] per lane
@@ -46,11 +46,13 @@ type BatchState struct {
 	dtBuf  []float64
 	rawBuf []float64
 	// Per-lane accept-threshold cache for constant-bias segments, keyed
-	// on the exact bias value: thrE/thrF are the scaled thresholds
-	// (λ_next/λ*)·2⁵³ for the empty and filled states at bias thrV.
+	// on the exact bias value: thrE/thrF are the scaled (tilted)
+	// thresholds (λ_next/λ*)·2⁵³ for the empty and filled states at bias
+	// thrV, and lrInc[state·2+accept] the matching log-LR factors.
 	thrV   []float64
 	thrE   []float64
 	thrF   []float64
+	lrInc  [][4]float64
 	hasThr []bool
 	// capHint carries each lane's event count to the next Run so path
 	// storage is allocated once instead of grown log-many times.
@@ -68,6 +70,7 @@ func (bs *BatchState) grow(n int) {
 	}
 	bs.streams = make([]rng.Stream, n)
 	bs.comp = make([]trap.CompiledTrap, n)
+	bs.til = make([]trap.CompiledTrap, n)
 	bs.t = make([]float64, n)
 	bs.filled = make([]bool, n)
 	bs.cand = make([]int64, n)
@@ -78,50 +81,69 @@ func (bs *BatchState) grow(n int) {
 	bs.thrV = make([]float64, n)
 	bs.thrE = make([]float64, n)
 	bs.thrF = make([]float64, n)
+	bs.lrInc = make([][4]float64, n)
 	bs.hasThr = make([]bool, n)
 	hints := make([]int, n)
 	copy(hints, bs.capHint)
 	bs.capHint = hints
 }
 
-// Run advances every trap in traps over [t0, tf] under the shared bias
-// waveform and returns one path per trap. Lane k draws from
-// parent.SplitInto(k), exactly as UniformiseProfile derives per-trap
-// streams, and the draws it consumes for candidates inside the horizon
-// are exactly the sequential kernel's (per candidate: Exp inter-arrival
-// then accept uniform) — so every lane's path is bit-identical to
-// Uniformise(ctx, traps[k], bias.Eval, t0, tf, parent.Split(k)).
-// TestBatchMatchesSequential pins this with Float64bits comparisons.
+// Run is the production Algorithm 1 kernel. It advances every trap in
+// traps over [t0, tf] under the shared bias waveform, sampling under
+// the importance-sampling energy tilt tiltEV (0 samples the nominal
+// law), and returns one path and one log-likelihood ratio
+// log(dP_nominal/dP_tilted) per trap. Lane k draws from
+// parent.SplitInto(k) and consumes exactly the draws Reference makes
+// for candidates inside the horizon (per candidate: Exp inter-arrival
+// then accept uniform), so lane k's path and log-LR are bit-identical
+// to Reference(tctx, traps[k], bias.Eval, t0, tf, tiltEV,
+// parent.Split(k), nil). TestBatchMatchesSequential pins this with
+// Float64bits comparisons. At tiltEV == 0 every log-LR is exactly 0.
 //
-// The speedup over N sequential calls comes from hoisting, not from
-// changing arithmetic: candidates are pre-drawn in chunks by
+// The speedup over Reference comes from hoisting, not from changing
+// arithmetic: candidates are pre-drawn in chunks by
 // rng.FillCandidates (register-resident generator state, one math.Log
 // call per candidate and nothing else), the bias PWL is walked once per
 // segment for all lanes instead of through N cursors, λ* and the
 // coupling prefactor are compiled once per lane (trap.CompiledTrap),
-// and on constant-bias segments the two accept thresholds are computed
-// once per (lane, bias value) instead of per candidate — eliminating
-// both math.Exp calls and two divisions from the inner loop.
-func (bs *BatchState) Run(tctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, tf float64, parent *rng.Stream) ([]*Path, error) {
+// and on constant-bias segments the accept thresholds (and, under a
+// tilt, the four log-LR factors) are computed once per (lane, bias
+// value) instead of per candidate — eliminating the math.Exp calls,
+// the divisions and the math.Log calls from the inner loop.
+func (bs *BatchState) Run(tctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, tf, tiltEV float64, parent *rng.Stream) ([]*Path, []float64, error) {
+	return bs.run(tctx, traps, bias, t0, tf, tiltEV, parent, true)
+}
+
+// run is Run with the lane-stream derivation made explicit: split
+// derives lane k from parent.SplitInto(k); otherwise the single lane
+// draws from a copy of parent itself (Uniformise).
+func (bs *BatchState) run(tctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, tf, tiltEV float64, parent *rng.Stream, split bool) ([]*Path, []float64, error) {
 	if tf <= t0 {
-		return nil, ErrBadInterval
+		return nil, nil, ErrBadInterval
 	}
 	if err := tctx.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := len(traps)
 	bs.grow(n)
 	paths := make([]*Path, n)
+	bs.logLR = make([]float64, n)
+	tilted := tiltEV != 0
 
 	// Lane init: derive streams, compile traps, pre-draw the first
 	// candidate chunk and place each lane at its first candidate instant
-	// (the same first Exp draw the sequential kernel makes). Filled is
-	// not stored during the walk — states strictly alternate, so it is
-	// rebuilt from InitFilled and len(Times) in one pass at the end.
+	// (the same first Exp draw Reference makes). Filled is not stored
+	// during the walk — states strictly alternate, so it is rebuilt
+	// from InitFilled and len(Times) in one pass at the end.
 	minNext := math.Inf(1)
 	for k := 0; k < n; k++ {
-		parent.SplitInto(uint64(k), &bs.streams[k])
+		if split {
+			parent.SplitInto(uint64(k), &bs.streams[k])
+		} else {
+			bs.streams[k] = *parent
+		}
 		bs.comp[k] = tctx.Compile(traps[k])
+		bs.til[k] = bs.comp[k].Tilted(tiltEV)
 		bs.filled[k] = traps[k].InitFilled
 		bs.cand[k], bs.acc[k] = 0, 0
 		bs.hasThr[k] = false
@@ -177,9 +199,12 @@ func (bs *BatchState) Run(tctx trap.Context, traps []trap.Trap, bias *waveform.P
 		for k := 0; k < n; k++ {
 			t := bs.t[k]
 			if t <= segEnd {
-				if isConst {
+				switch {
+				case tilted:
+					t = bs.advanceTilted(k, paths[k], t, segEnd, isConst, s0, s1, v0, v1)
+				case isConst:
 					t = bs.advanceConst(k, paths[k], t, segEnd, v0)
-				} else {
+				default:
 					t = bs.advanceRamp(k, paths[k], t, segEnd, s0, s1, v0, v1)
 				}
 				bs.t[k] = t
@@ -212,7 +237,7 @@ func (bs *BatchState) Run(tctx trap.Context, traps []trap.Trap, bias *waveform.P
 		}
 		bs.capHint[k] = len(p.Times) + 8
 	}
-	return paths, nil
+	return paths, bs.logLR, nil
 }
 
 // advanceConst drains lane k's candidates up to segEnd under constant
@@ -338,26 +363,76 @@ func (bs *BatchState) advanceRamp(k int, p *Path, t, segEnd, s0, s1, v0, v1 floa
 	return t
 }
 
-// UniformiseBatch advances every trap of a profile over [t0, tf] as one
-// batch. One-shot convenience over BatchState.Run; loops that simulate
-// many profiles should hold a BatchState and call Run to reuse the
-// workspace.
-func UniformiseBatch(tctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, tf float64, r *rng.Stream) ([]*Path, error) {
-	return NewBatchState().Run(tctx, traps, bias, t0, tf, r)
-}
-
-// UniformiseProfileBatch is the batched equivalent of
-// UniformiseProfile: identical paths (lane k ≡ Split(k) sequential),
-// one shared segment walk.
-func UniformiseProfileBatch(pr trap.Profile, bias *waveform.PWL, t0, tf float64, r *rng.Stream) ([]*Path, error) {
-	return UniformiseBatch(pr.Ctx, pr.Traps, bias, t0, tf, r)
-}
-
-// UniformiseProfileBatchCtx is UniformiseProfileBatch under a traced
-// context, emitting the same markov.uniformise span as the sequential
-// path so span-shape goldens are unaffected by kernel choice.
-func UniformiseProfileBatchCtx(ctx context.Context, pr trap.Profile, bias *waveform.PWL, t0, tf float64, r *rng.Stream) ([]*Path, error) {
-	_, span := trace.Start(ctx, "markov.uniformise")
-	defer span.End()
-	return UniformiseProfileBatch(pr, bias, t0, tf, r)
+// advanceTilted drains lane k's candidates up to segEnd under the
+// Run's energy tilt, accumulating the lane's log-LR. On a constant
+// segment (isConst, bias v0) the tilted accept thresholds and the four
+// log-LR factors are cached per bias value; on a ramp (s0, s1]
+// v0→v1 both compiled rate pairs are evaluated per candidate, exactly
+// as Reference does. Accept decisions and log-LR terms go through the
+// same thinProbs/logLRFactor arithmetic as Reference, in candidate
+// order, so the lane is bit-identical to it.
+//
+//lint:hot
+func (bs *BatchState) advanceTilted(k int, p *Path, t, segEnd float64, isConst bool, s0, s1, v0, v1 float64) float64 {
+	nom, til := bs.comp[k], bs.til[k]
+	//lint:ignore floateq the tilted threshold and log-LR cache is keyed on the exact bias value; a miss only recomputes the entry
+	if isConst && (!bs.hasThr[k] || bs.thrV[k] != v0) {
+		pE, qE := thinProbs(nom, til, v0, false)
+		pF, qF := thinProbs(nom, til, v0, true)
+		bs.thrE[k], bs.thrF[k] = qE*two53, qF*two53
+		bs.lrInc[k] = [4]float64{
+			logLRFactor(pE, qE, false), logLRFactor(pE, qE, true),
+			logLRFactor(pF, qF, false), logLRFactor(pF, qF, true),
+		}
+		bs.thrV[k] = v0
+		bs.hasThr[k] = true
+	}
+	base := k * candChunk
+	dt := bs.dtBuf[base : base+candChunk : base+candChunk]
+	raw := bs.rawBuf[base : base+candChunk : base+candChunk]
+	pos := int(bs.pos[k])
+	filled := bs.filled[k]
+	logLR := bs.logLR[k]
+	cand := bs.cand[k]
+	for t <= segEnd {
+		cand++
+		var accept bool
+		if isConst {
+			thr, i := bs.thrE[k], 0
+			if filled {
+				thr, i = bs.thrF[k], 2
+			}
+			accept = raw[pos] < thr
+			if accept {
+				i++
+			}
+			logLR += bs.lrInc[k][i]
+		} else {
+			v := v1
+			//lint:ignore floateq a candidate exactly on the breakpoint s1 takes PWL.Eval's stored value, as in advanceRamp
+			if t != s1 {
+				v = v0 + (t-s0)/(s1-s0)*(v1-v0)
+			}
+			pN, qT := thinProbs(nom, til, v, filled)
+			accept = raw[pos] < qT*two53
+			logLR += logLRFactor(pN, qT, accept)
+		}
+		if accept {
+			//lint:ignore hotalloc amortised append into capHint-sized storage, as in the untilted loops
+			p.Times = append(p.Times, t)
+			filled = !filled
+			bs.acc[k]++
+		}
+		pos++
+		if pos == candChunk {
+			bs.streams[k].FillCandidates(dt, raw, nom.Sum)
+			pos = 0
+		}
+		t += dt[pos]
+	}
+	bs.pos[k] = int32(pos)
+	bs.filled[k] = filled
+	bs.logLR[k] = logLR
+	bs.cand[k] = cand
+	return t
 }

@@ -24,10 +24,11 @@ func batchTestProfile(ctx trap.Context, n int) trap.Profile {
 	return trap.Profile{Ctx: ctx, Traps: traps}
 }
 
-// batchBiases covers the three PWL shapes the kernel special-cases:
+// batchBiases covers the PWL shapes the kernel special-cases:
 // constant (single-point PWL), step (flat segments joined by sharp
-// ramps, candidates landing exactly on breakpoints are possible), and
-// a multi-segment ramp (every candidate interpolates).
+// ramps, candidates landing exactly on breakpoints are possible), a
+// multi-segment ramp (every candidate interpolates) and a mixed
+// waveform alternating flat holds, ramps and dense breakpoints.
 func batchBiases() map[string]*waveform.PWL {
 	step, err := waveform.Step([]float64{0, 3e-4, 6e-4}, []float64{1.2, 0.4, 1.0}, 1e-8)
 	if err != nil {
@@ -37,98 +38,124 @@ func batchBiases() map[string]*waveform.PWL {
 		T: []float64{0, 2e-4, 5e-4, 9e-4},
 		V: []float64{0.2, 1.2, 0.7, 1.1},
 	}
+	mixed := &waveform.PWL{
+		T: []float64{1e-4, 2e-4, 2.5e-4, 4e-4, 4.1e-4, 4.2e-4, 4.3e-4, 7e-4, 8e-4},
+		V: []float64{0.9, 0.9, 1.3, 1.3, 0.5, 1.1, 0.8, 0.8, 1.2},
+	}
 	return map[string]*waveform.PWL{
 		"const": waveform.Constant(1.2),
 		"step":  step,
 		"ramp":  ramp,
+		"mixed": mixed,
 	}
 }
 
-// TestBatchMatchesSequential is the tentpole's determinism pin: every
-// lane of the batch kernel must be bit-identical (Float64bits) to the
-// sequential Uniformise run with the same split stream, across
-// constant, step and ramp biases.
+// batchTilts are the energy tilts the kernel is pinned at: 0 (the
+// untilted loops) and mild to deep importance-sampling tilts.
+var batchTilts = []float64{0, -0.02, -0.05, -0.25}
+
+// checkAgainstReference asserts that every lane of a Run is
+// bit-identical (Float64bits) to Reference on parent.Split(k): the same
+// path and the same log-LR. It returns the total transition count.
+func checkAgainstReference(t *testing.T, ctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, tf, tilt float64, parent *rng.Stream, got []*Path, gotLR []float64) int {
+	t.Helper()
+	if len(got) != len(traps) || len(gotLR) != len(traps) {
+		t.Fatalf("%d paths and %d log-LRs for %d lanes", len(got), len(gotLR), len(traps))
+	}
+	total := 0
+	var child rng.Stream
+	for k, tr := range traps {
+		parent.SplitInto(uint64(k), &child)
+		w, wantLR, err := Reference(ctx, tr, bias.Eval, t0, tf, tilt, &child, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := got[k]
+		if err := g.Validate(); err != nil {
+			t.Fatalf("lane %d: invalid path: %v", k, err)
+		}
+		if math.Float64bits(gotLR[k]) != math.Float64bits(wantLR) {
+			t.Fatalf("lane %d: log-LR %x != %x (%g vs %g)", k,
+				math.Float64bits(gotLR[k]), math.Float64bits(wantLR), gotLR[k], wantLR)
+		}
+		if len(g.Times) != len(w.Times) {
+			t.Fatalf("lane %d: %d events, want %d", k, len(g.Times)-1, len(w.Times)-1)
+		}
+		for i := range w.Times {
+			if math.Float64bits(g.Times[i]) != math.Float64bits(w.Times[i]) {
+				t.Fatalf("lane %d event %d: %x != %x (%g vs %g)",
+					k, i, math.Float64bits(g.Times[i]), math.Float64bits(w.Times[i]),
+					g.Times[i], w.Times[i])
+			}
+			if g.Filled[i] != w.Filled[i] {
+				t.Fatalf("lane %d event %d: state mismatch", k, i)
+			}
+		}
+		total += len(w.Times) - 1
+	}
+	return total
+}
+
+// TestBatchMatchesSequential is the kernel's determinism pin: every
+// lane of Run must be bit-identical (Float64bits) to Reference with the
+// same split stream — path and log-LR — across constant, step, ramp and
+// mixed biases and every tilt in batchTilts. The fast lanes draw
+// hundreds of candidates, so each crosses many pre-draw chunk
+// boundaries.
 func TestBatchMatchesSequential(t *testing.T) {
 	ctx := testCtx()
+	pr := batchTestProfile(ctx, 23)
+	t0, tf := 0.0, 1e-3
+	maxCand := 0.0
+	for _, tr := range pr.Traps {
+		maxCand = math.Max(maxCand, ExpectedCandidates(ctx, tr, t0, tf))
+	}
+	if maxCand < 4*candChunk {
+		t.Fatalf("fixture draws at most %g candidates per lane; want several %d-candidate chunks", maxCand, candChunk)
+	}
 	for name, bias := range batchBiases() {
 		t.Run(name, func(t *testing.T) {
-			pr := batchTestProfile(ctx, 23)
-			root := rng.New(42)
-			t0, tf := 0.0, 1e-3
-
-			got, err := UniformiseProfileBatch(pr, bias, t0, tf, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := UniformiseProfile(pr, PWLBias(bias), t0, tf, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("lane count %d, want %d", len(got), len(want))
-			}
-			total := 0
-			for k := range want {
-				w, g := want[k], got[k]
-				if err := g.Validate(); err != nil {
-					t.Fatalf("lane %d: invalid path: %v", k, err)
+			for _, tilt := range batchTilts {
+				root := rng.New(42)
+				got, lrs, err := NewBatchState().Run(pr.Ctx, pr.Traps, bias, t0, tf, tilt, root)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(g.Times) != len(w.Times) {
-					t.Fatalf("lane %d: %d events, want %d", k, len(g.Times)-1, len(w.Times)-1)
+				if checkAgainstReference(t, ctx, pr.Traps, bias, t0, tf, tilt, root, got, lrs) == 0 {
+					t.Fatalf("tilt %g: degenerate fixture, no transitions in any lane", tilt)
 				}
-				for i := range w.Times {
-					if math.Float64bits(g.Times[i]) != math.Float64bits(w.Times[i]) {
-						t.Fatalf("lane %d event %d: %x != %x (%g vs %g)",
-							k, i, math.Float64bits(g.Times[i]), math.Float64bits(w.Times[i]),
-							g.Times[i], w.Times[i])
-					}
-					if g.Filled[i] != w.Filled[i] {
-						t.Fatalf("lane %d event %d: state mismatch", k, i)
+				for k, lr := range lrs {
+					if tilt == 0 && math.Float64bits(lr) != 0 {
+						t.Fatalf("tilt 0 lane %d: log-LR %g, want exactly +0.0", k, lr)
 					}
 				}
-				total += len(w.Times) - 1
-			}
-			if total == 0 {
-				t.Fatal("degenerate fixture: no transitions in any lane")
 			}
 		})
 	}
 }
 
 // TestBatchWorkspaceReuse reuses one BatchState across runs of varying
-// lane counts and checks results stay identical to fresh states — the
-// workspace must be fully re-initialised per Run.
+// lane counts and tilts and checks results stay identical to the
+// reference — the workspace must be fully re-initialised per Run.
 func TestBatchWorkspaceReuse(t *testing.T) {
 	ctx := testCtx()
-	bias := batchBiases()["ramp"]
+	bias := batchBiases()["mixed"]
 	bs := NewBatchState()
-	for _, n := range []int{7, 3, 11} {
+	for i, n := range []int{7, 3, 11, 5} {
 		pr := batchTestProfile(ctx, n)
 		root := rng.New(uint64(1000 + n))
-		got, err := bs.Run(pr.Ctx, pr.Traps, bias, 0, 5e-4, root)
+		tilt := batchTilts[i%len(batchTilts)]
+		got, lrs, err := bs.Run(pr.Ctx, pr.Traps, bias, 0, 5e-4, tilt, root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := UniformiseBatch(pr.Ctx, pr.Traps, bias, 0, 5e-4, root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if len(got[k].Times) != len(want[k].Times) {
-				t.Fatalf("n=%d lane %d: reused state diverged", n, k)
-			}
-			for i := range want[k].Times {
-				if math.Float64bits(got[k].Times[i]) != math.Float64bits(want[k].Times[i]) {
-					t.Fatalf("n=%d lane %d event %d: reused state diverged", n, k, i)
-				}
-			}
-		}
+		checkAgainstReference(t, ctx, pr.Traps, bias, 0, 5e-4, tilt, root, got, lrs)
 	}
 }
 
 // TestBatchCandidateTimesCrossSegments places breakpoints so densely
 // that lanes repeatedly cross segment boundaries mid-path, exercising
-// the resume-at-segment-boundary logic against the sequential oracle.
+// the resume-at-segment-boundary logic against the reference.
 func TestBatchCandidateTimesCrossSegments(t *testing.T) {
 	ctx := testCtx()
 	// ~50 breakpoints over the horizon: segment dwell far below the mean
@@ -142,42 +169,31 @@ func TestBatchCandidateTimesCrossSegments(t *testing.T) {
 	}
 	bias := &waveform.PWL{T: T, V: V}
 	pr := batchTestProfile(ctx, 16)
-	root := rng.New(7)
-	got, err := UniformiseProfileBatch(pr, bias, 0, 1e-3, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := UniformiseProfile(pr, PWLBias(bias), 0, 1e-3, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range want {
-		if len(got[k].Times) != len(want[k].Times) {
-			t.Fatalf("lane %d: %d events, want %d", k, len(got[k].Times)-1, len(want[k].Times)-1)
+	for _, tilt := range []float64{0, -0.05} {
+		root := rng.New(7)
+		got, lrs, err := NewBatchState().Run(pr.Ctx, pr.Traps, bias, 0, 1e-3, tilt, root)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want[k].Times {
-			if math.Float64bits(got[k].Times[i]) != math.Float64bits(want[k].Times[i]) {
-				t.Fatalf("lane %d event %d differs", k, i)
-			}
-		}
+		checkAgainstReference(t, ctx, pr.Traps, bias, 0, 1e-3, tilt, root, got, lrs)
 	}
 }
 
 func TestBatchBadInterval(t *testing.T) {
 	ctx := testCtx()
 	pr := batchTestProfile(ctx, 2)
-	if _, err := UniformiseProfileBatch(pr, waveform.Constant(1.2), 1, 1, rng.New(1)); err != ErrBadInterval {
+	if _, _, err := NewBatchState().Run(pr.Ctx, pr.Traps, waveform.Constant(1.2), 1, 1, 0, rng.New(1)); err != ErrBadInterval {
 		t.Fatal("empty interval accepted")
 	}
 }
 
 func TestBatchEmptyProfile(t *testing.T) {
 	ctx := testCtx()
-	paths, err := UniformiseBatch(ctx, nil, waveform.Constant(1.2), 0, 1e-4, rng.New(1))
+	paths, lrs, err := NewBatchState().Run(ctx, nil, waveform.Constant(1.2), 0, 1e-4, 0, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 0 {
+	if len(paths) != 0 || len(lrs) != 0 {
 		t.Fatalf("expected no paths, got %d", len(paths))
 	}
 }

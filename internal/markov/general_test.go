@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"samurai/internal/rng"
+	"samurai/internal/waveform"
 )
 
 func TestUniformiseGeneralMatchesUniformiseExactly(t *testing.T) {
@@ -14,12 +15,12 @@ func TestUniformiseGeneralMatchesUniformiseExactly(t *testing.T) {
 	// random stream, same thinning decisions).
 	ctx := testCtx()
 	tr := activeTrap(ctx)
-	bias := ConstantBias(1.25)
+	bias := waveform.Constant(1.25).Eval
 	rates := func(tt float64) (float64, float64) { return ctx.Rates(tr, bias(tt)) }
 	ls := ctx.RateSum(tr)
 	horizon := 2e3 / ls
 
-	a, err := Uniformise(ctx, tr, bias, 0, horizon, rng.New(5))
+	a, err := Uniformise(ctx, tr, waveform.Constant(1.25), 0, horizon, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSRHModelMatchesODE(t *testing.T) {
 func TestOccupancyODEFuncMatchesSpecialised(t *testing.T) {
 	ctx := testCtx()
 	tr := activeTrap(ctx)
-	bias := ConstantBias(1.22)
+	bias := waveform.Constant(1.22).Eval
 	rates := func(tt float64) (float64, float64) { return ctx.Rates(tr, bias(tt)) }
 	ls := ctx.RateSum(tr)
 	_, a := OccupancyODE(ctx, tr, bias, 0, 10/ls, 0.3, 200)

@@ -114,30 +114,3 @@ func OccupancyODE(ctx trap.Context, tr trap.Trap, vgs BiasFunc, t0, tf float64, 
 	}
 	return
 }
-
-// EnsembleOccupancy runs nPaths independent uniformisation simulations
-// and returns the empirical P(filled) at n+1 uniform instants — the
-// stochastic estimate matched against OccupancyODE in tests and in the
-// validation experiments.
-func EnsembleOccupancy(ctx trap.Context, tr trap.Trap, vgs BiasFunc, t0, tf float64, nPaths, n int, r *rng.Stream) (ts []float64, ps []float64, err error) {
-	ts = make([]float64, n+1)
-	ps = make([]float64, n+1)
-	for i := 0; i <= n; i++ {
-		ts[i] = t0 + (tf-t0)*float64(i)/float64(n)
-	}
-	for k := 0; k < nPaths; k++ {
-		path, e := Uniformise(ctx, tr, vgs, t0, tf, r.Split(uint64(k)))
-		if e != nil {
-			return nil, nil, e
-		}
-		for i, t := range ts {
-			if path.StateAt(t) {
-				ps[i]++
-			}
-		}
-	}
-	for i := range ps {
-		ps[i] /= float64(nPaths)
-	}
-	return ts, ps, nil
-}

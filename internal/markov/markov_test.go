@@ -9,6 +9,7 @@ import (
 	"samurai/internal/rng"
 	"samurai/internal/trap"
 	"samurai/internal/units"
+	"samurai/internal/waveform"
 )
 
 func testCtx() trap.Context { return trap.DefaultContext(1.9e-9, 1.2) }
@@ -71,7 +72,7 @@ func TestPathSampleMatchesStateAt(t *testing.T) {
 
 func TestUniformiseBadInterval(t *testing.T) {
 	ctx := testCtx()
-	if _, err := Uniformise(ctx, activeTrap(ctx), ConstantBias(1), 1, 1, rng.New(1)); err != ErrBadInterval {
+	if _, err := Uniformise(ctx, activeTrap(ctx), waveform.Constant(1), 1, 1, rng.New(1)); err != ErrBadInterval {
 		t.Fatal("empty interval accepted")
 	}
 }
@@ -79,8 +80,8 @@ func TestUniformiseBadInterval(t *testing.T) {
 func TestUniformiseDeterministic(t *testing.T) {
 	ctx := testCtx()
 	tr := activeTrap(ctx)
-	a, _ := Uniformise(ctx, tr, ConstantBias(1.2), 0, 1e-3, rng.New(9))
-	b, _ := Uniformise(ctx, tr, ConstantBias(1.2), 0, 1e-3, rng.New(9))
+	a, _ := Uniformise(ctx, tr, waveform.Constant(1.2), 0, 1e-3, rng.New(9))
+	b, _ := Uniformise(ctx, tr, waveform.Constant(1.2), 0, 1e-3, rng.New(9))
 	if a.Transitions() != b.Transitions() {
 		t.Fatal("equal seeds gave different paths")
 	}
@@ -99,7 +100,7 @@ func TestUniformisePathsValid(t *testing.T) {
 			return true
 		}
 		tr := trap.Trap{Y: 0.45 * ctx.Tox, E: e}
-		p, err := Uniformise(ctx, tr, ConstantBias(1.2), 0, 5e-4, rng.New(seed))
+		p, err := Uniformise(ctx, tr, waveform.Constant(1.2), 0, 5e-4, rng.New(seed))
 		if err != nil {
 			return false
 		}
@@ -120,7 +121,7 @@ func TestUniformiseStationaryOccupancy(t *testing.T) {
 		tr.InitFilled = want > 0.5
 		ls := ctx.RateSum(tr)
 		horizon := 3e4 / ls
-		p, err := Uniformise(ctx, tr, ConstantBias(1.2), 0, horizon, rng.New(4))
+		p, err := Uniformise(ctx, tr, waveform.Constant(1.2), 0, horizon, rng.New(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestUniformiseDwellTimesExponential(t *testing.T) {
 	tr := activeTrap(ctx)
 	lc, le := ctx.Rates(tr, 1.2)
 	ls := ctx.RateSum(tr)
-	p, err := Uniformise(ctx, tr, ConstantBias(1.2), 0, 4e4/ls, rng.New(12))
+	p, err := Uniformise(ctx, tr, waveform.Constant(1.2), 0, 4e4/ls, rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestUniformiseMatchesGillespie(t *testing.T) {
 	tr := activeTrap(ctx)
 	ls := ctx.RateSum(tr)
 	horizon := 2e4 / ls
-	u, err := Uniformise(ctx, tr, ConstantBias(1.2), 0, horizon, rng.New(3))
+	u, err := Uniformise(ctx, tr, waveform.Constant(1.2), 0, horizon, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +197,23 @@ func TestUniformiseMatchesODENonStationary(t *testing.T) {
 	tr.InitFilled = false
 	const grid = 60
 	_, pExact := OccupancyODE(ctx, tr, bias, t0, t1, 0, grid)
-	_, pEmp, err := EnsembleOccupancy(ctx, tr, bias, t0, t1, 6000, grid, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
+	const paths = 6000
+	pEmp := make([]float64, grid+1)
+	root := rng.New(8)
+	for k := 0; k < paths; k++ {
+		p, _, err := Reference(ctx, tr, bias, t0, t1, 0, root.Split(uint64(k)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range pEmp {
+			if p.StateAt(t0 + (t1-t0)*float64(i)/grid) {
+				pEmp[i]++
+			}
+		}
 	}
 	for i := range pExact {
-		if math.Abs(pExact[i]-pEmp[i]) > 0.03 {
-			t.Fatalf("grid %d: ODE %g vs ensemble %g", i, pExact[i], pEmp[i])
+		if math.Abs(pExact[i]-pEmp[i]/paths) > 0.03 {
+			t.Fatalf("grid %d: ODE %g vs ensemble %g", i, pExact[i], pEmp[i]/paths)
 		}
 	}
 }
@@ -213,7 +224,7 @@ func TestDiscretisedBernoulliBias(t *testing.T) {
 	ctx := testCtx()
 	tr := activeTrap(ctx)
 	ls := ctx.RateSum(tr)
-	bias := ConstantBias(1.2)
+	bias := waveform.Constant(1.2).Eval
 	horizon := 20 / ls
 	tr.InitFilled = false
 	const grid = 40
@@ -262,11 +273,12 @@ func TestUniformiseProfilePathIndependence(t *testing.T) {
 		{Y: 0.6 * ctx.Tox, E: 0.05},
 		{Y: 0.3 * ctx.Tox, E: -0.02},
 	}}
-	a, err := UniformiseProfile(short, ConstantBias(1.2), 0, 1e-3, rng.New(33))
+	bias := waveform.Constant(1.2)
+	a, _, err := NewBatchState().Run(ctx, short.Traps, bias, 0, 1e-3, 0, rng.New(33))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := UniformiseProfile(long, ConstantBias(1.2), 0, 1e-3, rng.New(33))
+	b, _, err := NewBatchState().Run(ctx, long.Traps, bias, 0, 1e-3, 0, rng.New(33))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +297,7 @@ func TestOccupancyODEEquilibrium(t *testing.T) {
 	ctx := testCtx()
 	tr := trap.Trap{Y: 0.45 * ctx.Tox, E: 0.02}
 	ls := ctx.RateSum(tr)
-	_, ps := OccupancyODE(ctx, tr, ConstantBias(1.2), 0, 30/ls, 0, 3000)
+	_, ps := OccupancyODE(ctx, tr, waveform.Constant(1.2).Eval, 0, 30/ls, 0, 3000)
 	want := ctx.OccupancyProb(tr, 1.2)
 	if got := ps[len(ps)-1]; math.Abs(got-want) > 1e-4 {
 		t.Fatalf("ODE equilibrium %g, want %g", got, want)
@@ -306,7 +318,7 @@ func TestGillespieRejectsBadInput(t *testing.T) {
 	if _, err := Gillespie(ctx, activeTrap(ctx), 1.2, 5, 4, rng.New(1)); err == nil {
 		t.Fatal("reversed interval accepted")
 	}
-	if _, err := DiscretisedBernoulli(ctx, activeTrap(ctx), ConstantBias(1.2), 0, 1, 0, rng.New(1)); err == nil {
+	if _, err := DiscretisedBernoulli(ctx, activeTrap(ctx), waveform.Constant(1.2).Eval, 0, 1, 0, rng.New(1)); err == nil {
 		t.Fatal("zero dt accepted")
 	}
 }

@@ -3,9 +3,7 @@ package markov
 import (
 	"math"
 
-	"samurai/internal/rng"
 	"samurai/internal/trap"
-	"samurai/internal/waveform"
 )
 
 // This file is the importance-sampling variant of Algorithm 1: the
@@ -26,11 +24,10 @@ import (
 //	reject at t:  (1−p(t))/(1−q(t))
 //
 // with p = λ_next(t)/λ* the nominal accept probability and
-// q = λ'_next(t)/λ* the tilted one. UniformiseTilted accumulates
-// log of these factors term by term; at dE = 0 the tilted constants
-// are bit-identical to the nominal ones, every factor is exactly 1,
-// log(1) = 0.0 exactly, and the returned path (and rng consumption)
-// is bit-identical to Uniformise.
+// q = λ'_next(t)/λ* the tilted one. Reference and BatchState.Run
+// accumulate the log of these factors term by term; at dE = 0 the
+// tilted constants are bit-identical to the nominal ones, every factor
+// is exactly 1 and log(1) = 0.0 exactly.
 
 // ThinningRecord captures the full accept/reject history of one
 // tilted uniformisation run: every candidate instant inside the
@@ -49,146 +46,44 @@ func (tr *ThinningRecord) reset() {
 	tr.Accepts = tr.Accepts[:0]
 }
 
-// UniformiseTilted is Uniformise sampling under the energy tilt
-// tiltEV while exactly accumulating the per-path log-likelihood ratio
-// log(dP_nominal/dP_tilted) from the thinning record. rec, when
-// non-nil, is reset and filled with the candidate history.
-//
-// The draw order per candidate (Exp inter-arrival, then one accept
-// uniform) and all rate arithmetic (trap.CompiledTrap.Rates, pinned
-// bit-identical to Context.Rates) exactly mirror Uniformise, so with
-// tiltEV == 0 the returned path, the stream state and the (identically
-// zero) log-LR are bit-identical to the naive kernel's.
-//
-//lint:hot
-func UniformiseTilted(ctx trap.Context, tr trap.Trap, vgs BiasFunc, t0, tf, tiltEV float64, r *rng.Stream, rec *ThinningRecord) (*Path, float64, error) {
-	if tf <= t0 {
-		return nil, 0, ErrBadInterval
+// thinProbs returns the nominal (pN) and tilted (qT) accept
+// probabilities of a candidate at bias v in the given state. Every
+// kernel — Reference, RecomputeLogLR and the compiled BatchState — goes
+// through this one arithmetic, which is what makes their decisions and
+// log-LRs agree to the bit.
+func thinProbs(nom, til trap.CompiledTrap, v float64, filled bool) (pN, qT float64) {
+	lcN, leN := nom.Rates(v)
+	lcT, leT := til.Rates(v)
+	if filled {
+		return leN / nom.Sum, leT / nom.Sum
 	}
-	if err := ctx.Validate(); err != nil {
-		return nil, 0, err
+	return lcN / nom.Sum, lcT / nom.Sum
+}
+
+// logLRFactor is the log of one candidate's likelihood-ratio factor:
+// p/q on accept, (1−p)/(1−q) on reject.
+func logLRFactor(pN, qT float64, accept bool) float64 {
+	if accept {
+		return math.Log(pN / qT)
 	}
-	nom := ctx.Compile(tr)
-	til := nom.Tilted(tiltEV)
-	lambdaStar := nom.Sum
-	if rec != nil {
-		rec.reset()
-	}
-	p := NewPath(t0, tf, tr.InitFilled)
-	filled := tr.InitFilled
-	t := t0
-	logLR := 0.0
-	var candidates, accepts int64
-	for {
-		t += r.Exp(lambdaStar)
-		if t > tf {
-			break
-		}
-		candidates++
-		v := vgs(t)
-		lcN, leN := nom.Rates(v)
-		lcT, leT := til.Rates(v)
-		pN, qT := lcN/lambdaStar, lcT/lambdaStar
-		if filled {
-			pN, qT = leN/lambdaStar, leT/lambdaStar
-		}
-		accept := r.Float64() < qT
-		if accept {
-			p.Transition(t)
-			filled = !filled
-			accepts++
-			logLR += math.Log(pN / qT)
-		} else {
-			logLR += math.Log((1 - pN) / (1 - qT))
-		}
-		if rec != nil {
-			//lint:ignore hotalloc reset() keeps the record's capacity, so appends only grow on the first run (or a candidate-count high-water mark), not steady-state
-			rec.Times = append(rec.Times, t)
-			//lint:ignore hotalloc grows in lockstep with Times under the same retained capacity; reuse makes it allocation-free
-			rec.Accepts = append(rec.Accepts, accept)
-		}
-	}
-	publishPath(lambdaStar, candidates, accepts)
-	return p, logLR, nil
+	return math.Log((1 - pN) / (1 - qT))
 }
 
 // RecomputeLogLR re-derives the log-likelihood ratio of a recorded
 // tilted run from its candidate history alone, using the identical
-// arithmetic and accumulation order as UniformiseTilted — the two
+// arithmetic and accumulation order as Reference — the two
 // results must agree to the bit (TestTiltLogLRRecompute pins this).
 func RecomputeLogLR(ctx trap.Context, tr trap.Trap, vgs BiasFunc, tiltEV float64, rec *ThinningRecord) float64 {
 	nom := ctx.Compile(tr)
 	til := nom.Tilted(tiltEV)
-	lambdaStar := nom.Sum
 	filled := tr.InitFilled
 	logLR := 0.0
 	for i, t := range rec.Times {
-		v := vgs(t)
-		lcN, leN := nom.Rates(v)
-		lcT, leT := til.Rates(v)
-		pN, qT := lcN/lambdaStar, lcT/lambdaStar
-		if filled {
-			pN, qT = leN/lambdaStar, leT/lambdaStar
-		}
+		pN, qT := thinProbs(nom, til, vgs(t), filled)
 		if rec.Accepts[i] {
 			filled = !filled
-			logLR += math.Log(pN / qT)
-		} else {
-			logLR += math.Log((1 - pN) / (1 - qT))
 		}
+		logLR += logLRFactor(pN, qT, rec.Accepts[i])
 	}
 	return logLR
-}
-
-// UniformiseProfileTilted simulates every trap of a profile under the
-// tilt and returns the per-trap paths plus the profile's total log-LR
-// (the traps are independent, so the path-ensemble likelihood ratio is
-// the product — the sum in log space, accumulated in trap order).
-// Trap i draws from r.SplitInto(i), the exact derivation
-// UniformiseProfile and the batch kernel use, so at tiltEV == 0 the
-// paths are bit-identical to both.
-func UniformiseProfileTilted(pr trap.Profile, vgs BiasFunc, t0, tf, tiltEV float64, r *rng.Stream) ([]*Path, float64, error) {
-	paths := make([]*Path, len(pr.Traps))
-	logLR := 0.0
-	var child rng.Stream
-	for i, tr := range pr.Traps {
-		r.SplitInto(uint64(i), &child)
-		p, l, err := UniformiseTilted(pr.Ctx, tr, vgs, t0, tf, tiltEV, &child, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		paths[i] = p
-		logLR += l
-	}
-	return paths, logLR, nil
-}
-
-// RunTilted is the BatchState entry point of the tilted kernel: one
-// call advances every lane over the horizon and returns per-lane paths
-// and log-likelihood ratios. Lane k derives its stream via
-// parent.SplitInto(k) and delegates to UniformiseTilted — the tilted
-// accept probabilities depend on the lane's own energy shift, so the
-// SoA threshold cache of the untilted fast path does not apply; what
-// the batch surface guarantees is stream-derivation identity: lane k's
-// (path, logLR) is bit-identical to the sequential tilted kernel on
-// parent.Split(k), and at tiltEV == 0 to BatchState.Run itself.
-func (bs *BatchState) RunTilted(tctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, tf, tiltEV float64, parent *rng.Stream) ([]*Path, []float64, error) {
-	if tf <= t0 {
-		return nil, nil, ErrBadInterval
-	}
-	n := len(traps)
-	bs.grow(n)
-	paths := make([]*Path, n)
-	logLRs := make([]float64, n)
-	for k := 0; k < n; k++ {
-		parent.SplitInto(uint64(k), &bs.streams[k])
-		cur := bias.Cursor()
-		p, l, err := UniformiseTilted(tctx, traps[k], cur.Eval, t0, tf, tiltEV, &bs.streams[k], nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		paths[k] = p
-		logLRs[k] = l
-	}
-	return paths, logLRs, nil
 }

@@ -40,10 +40,10 @@ func fuzzedPWL(t *testing.T, r *rng.Stream, horizon float64, nSeg int) *waveform
 	return w
 }
 
-// TestTiltZeroBitIdentical pins the tilt-0 contract: with tiltEV == 0
-// the tilted kernel consumes the stream identically to Uniformise,
-// produces a bit-identical path, and accumulates a log-LR of exactly
-// +0.0 — not merely a small number.
+// TestTiltZeroBitIdentical pins the tilt-0 contract: Reference at
+// tiltEV == 0 accumulates a log-LR of exactly +0.0 — not merely a
+// small number — and the one-lane Uniformise, which draws from the
+// caller's stream itself, reproduces Reference's path on that stream.
 func TestTiltZeroBitIdentical(t *testing.T) {
 	ctx := tiltTestCtx()
 	tr := trap.Trap{Y: 0.45 * ctx.Tox, E: 0.03}
@@ -51,26 +51,26 @@ func TestTiltZeroBitIdentical(t *testing.T) {
 	gen := rng.New(7)
 	for trial := 0; trial < 20; trial++ {
 		bias := fuzzedPWL(t, gen, horizon, 6)
-		naive, err := Uniformise(ctx, tr, PWLBias(bias), 0, horizon, rng.New(uint64(100+trial)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tilted, logLR, err := UniformiseTilted(ctx, tr, PWLBias(bias), 0, horizon, 0, rng.New(uint64(100+trial)), nil)
+		ref, logLR, err := Reference(ctx, tr, bias.Eval, 0, horizon, 0, rng.New(uint64(100+trial)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(logLR) != 0 {
 			t.Fatalf("trial %d: tilt-0 logLR = %g (bits %x), want exactly +0.0", trial, logLR, math.Float64bits(logLR))
 		}
-		if len(tilted.Times) != len(naive.Times) {
-			t.Fatalf("trial %d: %d transitions, want %d", trial, len(tilted.Times), len(naive.Times))
+		lane, err := Uniformise(ctx, tr, bias, 0, horizon, rng.New(uint64(100+trial)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range naive.Times {
-			if math.Float64bits(tilted.Times[i]) != math.Float64bits(naive.Times[i]) {
+		if len(lane.Times) != len(ref.Times) {
+			t.Fatalf("trial %d: %d transitions, want %d", trial, len(lane.Times), len(ref.Times))
+		}
+		for i := range ref.Times {
+			if math.Float64bits(lane.Times[i]) != math.Float64bits(ref.Times[i]) {
 				t.Fatalf("trial %d: transition %d at %x, want %x", trial, i,
-					math.Float64bits(tilted.Times[i]), math.Float64bits(naive.Times[i]))
+					math.Float64bits(lane.Times[i]), math.Float64bits(ref.Times[i]))
 			}
-			if tilted.Filled[i] != naive.Filled[i] {
+			if lane.Filled[i] != ref.Filled[i] {
 				t.Fatalf("trial %d: state %d differs", trial, i)
 			}
 		}
@@ -91,11 +91,11 @@ func TestTiltLogLRRecompute(t *testing.T) {
 		horizon := (50 + 200*gen.Float64()) / ctx.RateSum(tr)
 		bias := fuzzedPWL(t, gen, horizon, 8)
 		tilt := tilts[trial%len(tilts)]
-		_, inc, err := UniformiseTilted(ctx, tr, PWLBias(bias), 0, horizon, tilt, rng.New(uint64(300+trial)), &rec)
+		_, inc, err := Reference(ctx, tr, bias.Eval, 0, horizon, tilt, rng.New(uint64(300+trial)), &rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		post := RecomputeLogLR(ctx, tr, PWLBias(bias), tilt, &rec)
+		post := RecomputeLogLR(ctx, tr, bias.Eval, tilt, &rec)
 		if math.Float64bits(inc) != math.Float64bits(post) {
 			t.Fatalf("trial %d (tilt %g): incremental logLR %x != recomputed %x",
 				trial, tilt, math.Float64bits(inc), math.Float64bits(post))
@@ -111,7 +111,7 @@ func TestTiltRecordReplaysPath(t *testing.T) {
 	horizon := 150 / ctx.RateSum(tr)
 	bias := waveform.Constant(1.2)
 	var rec ThinningRecord
-	p, _, err := UniformiseTilted(ctx, tr, PWLBias(bias), 0, horizon, -0.04, rng.New(5), &rec)
+	p, _, err := Reference(ctx, tr, bias.Eval, 0, horizon, -0.04, rng.New(5), &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,61 +131,26 @@ func TestTiltRecordReplaysPath(t *testing.T) {
 	}
 }
 
-// TestRunTiltedMatchesSequential pins the batch tilted surface: lane k
-// must be bit-identical to the sequential tilted kernel on Split(k),
-// and at tilt 0 to BatchState.Run itself.
+// TestRunTiltedMatchesSequential pins Run's tilted lanes on fuzzed
+// bias profiles: lane k's path and log-LR must be bit-identical to
+// Reference on Split(k).
 func TestRunTiltedMatchesSequential(t *testing.T) {
 	ctx := tiltTestCtx()
 	tr := trap.Trap{Y: 0.45 * ctx.Tox, E: 0.05}
 	horizon := 120 / ctx.RateSum(tr)
-	bias := fuzzedPWL(t, rng.New(17), horizon, 5)
+	gen := rng.New(17)
 	traps := make([]trap.Trap, 16)
 	for i := range traps {
 		traps[i] = tr
 	}
-	for ti, tilt := range []float64{0, -0.06} {
-		zeroTilt := ti == 0
-		bs := NewBatchState()
-		paths, lrs, err := bs.RunTilted(ctx, traps, bias, 0, horizon, tilt, rng.New(23))
+	for trial, tilt := range []float64{0, -0.06, 0.04, -0.06} {
+		bias := fuzzedPWL(t, gen, horizon, 5+trial)
+		root := rng.New(uint64(23 + trial))
+		paths, lrs, err := NewBatchState().Run(ctx, traps, bias, 0, horizon, tilt, root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parent := rng.New(23)
-		var child rng.Stream
-		for k := range traps {
-			parent.SplitInto(uint64(k), &child)
-			want, wantLR, err := UniformiseTilted(ctx, traps[k], PWLBias(bias), 0, horizon, tilt, &child, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(lrs[k]) != math.Float64bits(wantLR) {
-				t.Fatalf("tilt %g lane %d logLR differs", tilt, k)
-			}
-			if len(paths[k].Times) != len(want.Times) {
-				t.Fatalf("tilt %g lane %d transition count differs", tilt, k)
-			}
-			for i := range want.Times {
-				if math.Float64bits(paths[k].Times[i]) != math.Float64bits(want.Times[i]) {
-					t.Fatalf("tilt %g lane %d transition %d differs", tilt, k, i)
-				}
-			}
-		}
-		if zeroTilt {
-			naive, err := NewBatchState().Run(ctx, traps, bias, 0, horizon, rng.New(23))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := range traps {
-				if len(paths[k].Times) != len(naive[k].Times) {
-					t.Fatalf("tilt-0 lane %d differs from untilted batch kernel", k)
-				}
-				for i := range naive[k].Times {
-					if math.Float64bits(paths[k].Times[i]) != math.Float64bits(naive[k].Times[i]) {
-						t.Fatalf("tilt-0 lane %d transition %d differs from untilted batch", k, i)
-					}
-				}
-			}
-		}
+		checkAgainstReference(t, ctx, traps, bias, 0, horizon, tilt, root, paths, lrs)
 	}
 }
 
@@ -200,15 +165,16 @@ func TestTiltedWeightsUnbiased(t *testing.T) {
 	horizon := 60 / ctx.RateSum(tr)
 	bias := waveform.Constant(1.2)
 	const n = 4000
-	parent := rng.New(41)
-	var child rng.Stream
+	traps := make([]trap.Trap, n)
+	for i := range traps {
+		traps[i] = tr
+	}
+	_, lrs, err := NewBatchState().Run(ctx, traps, bias, 0, horizon, -0.05, rng.New(41))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sum, sum2 := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		parent.SplitInto(uint64(i), &child)
-		_, lr, err := UniformiseTilted(ctx, tr, PWLBias(bias), 0, horizon, -0.05, &child, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, lr := range lrs {
 		w := math.Exp(lr)
 		sum += w
 		sum2 += w * w

@@ -85,7 +85,7 @@ type CellOutcome struct {
 	Failed    bool // any write error
 	// LogLR is the importance-sampling log-likelihood ratio of the
 	// cell's trap paths (exactly 0 outside rare-event sweeps and at
-	// tilt 0 — see markov.UniformiseTilted).
+	// tilt 0 — see markov.BatchState.Run).
 	LogLR float64
 	// GlitchDepth is the rare-event level function sram.GlitchDepth of
 	// the cell's Q waveform; 0 outside rare-event sweeps.

@@ -1,7 +1,7 @@
 // Package rareevent is the variance-reduction layer of the Monte
 // Carlo stack: unbiased importance-sampling estimation over
 // likelihood-reweighted paths (the weights come from the exact
-// thinning log-LR of markov.UniformiseTilted) and fixed multilevel
+// thinning log-LR of markov.BatchState.Run) and fixed multilevel
 // splitting over a monotone level function (the glitch depth of
 // sram.GlitchDepth). Everything here is plain deterministic
 // arithmetic over per-path (weight, indicator) pairs — callers feed

@@ -197,7 +197,7 @@ func TestWindowedDwellCDFAgainstSimulation(t *testing.T) {
 	}
 	for i := 0; i < nPaths; i++ {
 		r.SplitInto(uint64(i), &child)
-		p, err := markov.Uniformise(ctx, tr, markov.ConstantBias(1.2), 0, T, &child)
+		p, err := markov.Uniformise(ctx, tr, waveform.Constant(1.2), 0, T, &child)
 		if err != nil {
 			t.Fatalf("Uniformise: %v", err)
 		}

@@ -30,17 +30,14 @@ var (
 		"sample paths drawn by the conformance harness")
 )
 
-// Simulator draws one trap occupancy path over [t0, t1] under a PWL
-// gate bias. The conformance suites are written against this seam so a
-// deliberately broken kernel can be substituted in tests to prove the
-// gates have detection power.
-type Simulator func(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error)
-
-// DefaultSimulator is the production Algorithm 1 kernel
-// (markov.Uniformise) behind the Simulator seam.
-func DefaultSimulator(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1 float64, r *rng.Stream) (*markov.Path, error) {
-	return markov.Uniformise(ctx, tr, markov.PWLBias(bias), t0, t1, r)
-}
+// Simulator draws a path ensemble over [t0, t1] under a PWL gate bias
+// and the energy tilt tiltEV: one path and one log-likelihood ratio per
+// trap, path k from r.SplitInto(k). It has the signature of the
+// production kernel, markov.BatchState.Run, which is the default. The
+// conformance suites are written against this seam so a deliberately
+// broken kernel can be substituted in tests to prove the gates have
+// detection power.
+type Simulator func(ctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, t1, tiltEV float64, r *rng.Stream) ([]*markov.Path, []float64, error)
 
 // Gate is one statistical check in a conformance report. Pass is
 // decided by comparing the p-value against the gate's Bonferroni share
@@ -84,27 +81,11 @@ func (sr *ScenarioReport) add(g Gate) {
 	sr.Gates = append(sr.Gates, g)
 }
 
-// Kernel names accepted by Options.Kernel and recorded in the report.
-const (
-	// KernelSequential draws each scenario path with one Simulator call
-	// (the production markov.Uniformise behind the seam by default).
-	KernelSequential = "sequential"
-	// KernelBatch draws each scenario's whole path ensemble in a single
-	// markov.BatchState.Run call, with every path as one SoA lane.
-	KernelBatch = "batch"
-)
-
 // Report is the full conformance report emitted by cmd/samuraivv. It
 // contains only ordered fields (no maps, no timestamps), so for a fixed
 // seed the JSON encoding is bit-identical across runs and machines.
 type Report struct {
 	Seed uint64 `json:"seed"`
-	// Kernel records which sampling kernel drew the synthetic-scenario
-	// ensembles. Because batch lane k splits the scenario stream exactly
-	// as the sequential loop does, the two kernels' reports are
-	// bit-identical apart from this field — TestBatchKernelReportIdentical
-	// pins that.
-	Kernel string `json:"kernel"`
 	// Alpha is the total false-positive budget: the probability that a
 	// correct simulator fails at least one gate in this report.
 	Alpha        float64          `json:"alpha"`
@@ -144,24 +125,16 @@ type Options struct {
 	// Alpha is the report-wide false-positive budget (default
 	// DefaultAlpha).
 	Alpha float64
-	// Sim is the simulator under test (default DefaultSimulator). Only
-	// the sequential kernel routes through this seam; combining a custom
-	// Sim with KernelBatch is rejected.
+	// Sim draws every scenario and rare-row ensemble (default: the
+	// production kernel, markov.BatchState.Run).
 	Sim Simulator
-	// Kernel selects how scenario ensembles are drawn: KernelSequential
-	// (default, one Sim call per path) or KernelBatch (one
-	// markov.BatchState.Run per scenario, every path a lane).
-	Kernel string
 	// E2E also drives the full samurai.Run methodology (two circuit
 	// passes per run) and gates the resulting trap path statistics.
 	E2E bool
 	// E2ERuns is the number of end-to-end methodology runs (default 32).
 	E2ERuns int
 	// Rare appends the rare-event unbiasedness rows (RareMatrix) to
-	// the report. The rows always draw through the sequential tilted
-	// kernel regardless of Kernel — the rare battery gates the
-	// importance-sampling layer, not the naive kernels — so sequential
-	// and batch reports still differ only in their "kernel" field.
+	// the report.
 	Rare bool
 }
 
@@ -170,10 +143,7 @@ func (o Options) defaults() Options {
 		o.Alpha = DefaultAlpha
 	}
 	if o.Sim == nil {
-		o.Sim = DefaultSimulator
-	}
-	if o.Kernel == "" {
-		o.Kernel = KernelSequential
+		o.Sim = new(markov.BatchState).Run
 	}
 	if o.E2ERuns == 0 {
 		o.E2ERuns = 32
@@ -193,13 +163,7 @@ var e2eProbeFracs = []float64{0.25, 0.6, 0.9}
 // end-to-end methodology suite) and returns the report. The report is a
 // pure function of Options for a fixed simulator.
 func RunMatrix(opts Options) (*Report, error) {
-	if opts.Kernel == KernelBatch && opts.Sim != nil {
-		return nil, fmt.Errorf("vv: the batch kernel bypasses the Simulator seam; drop Sim or use %s", KernelSequential)
-	}
 	opts = opts.defaults()
-	if opts.Kernel != KernelSequential && opts.Kernel != KernelBatch {
-		return nil, fmt.Errorf("vv: unknown kernel %q (want %s or %s)", opts.Kernel, KernelSequential, KernelBatch)
-	}
 	scenarios, err := Matrix()
 	if err != nil {
 		return nil, err
@@ -218,24 +182,13 @@ func RunMatrix(opts Options) (*Report, error) {
 	root := rng.New(opts.Seed)
 	rep := &Report{
 		Seed:         opts.Seed,
-		Kernel:       opts.Kernel,
 		Alpha:        opts.Alpha,
 		Gates:        total,
 		PerGateAlpha: budget.PerGate(),
 		Pass:         true,
 	}
-	var bs *markov.BatchState
-	if opts.Kernel == KernelBatch {
-		bs = markov.NewBatchState()
-	}
 	for i, sc := range scenarios {
-		var sr ScenarioReport
-		var err error
-		if bs != nil {
-			sr, err = RunScenarioBatch(sc, bs, root.Split(uint64(100+i)), budget)
-		} else {
-			sr, err = RunScenario(sc, opts.Sim, root.Split(uint64(100+i)), budget)
-		}
+		sr, err := RunScenario(sc, opts.Sim, root.Split(uint64(100+i)), budget)
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +200,7 @@ func RunMatrix(opts Options) (*Report, error) {
 	}
 	if opts.Rare {
 		for i, sc := range RareMatrix() {
-			sr, err := RunRareScenario(sc, DefaultRareSimulator, root.Split(uint64(500+i)), budget)
+			sr, err := RunRareScenario(sc, opts.Sim, root.Split(uint64(500+i)), budget)
 			if err != nil {
 				return nil, err
 			}
@@ -272,44 +225,28 @@ func RunMatrix(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// RunScenario draws the scenario's path ensemble with sim and runs its
-// gate battery against the analytic Master reference. The budget is the
-// report-wide false-positive budget (its PerGate share decides each
-// gate's threshold).
+// RunScenario draws the scenario's path ensemble with one sim call —
+// path i from r.SplitInto(i) — and runs its gate battery against the
+// analytic Master reference. The budget is the report-wide
+// false-positive budget (its PerGate share decides each gate's
+// threshold).
 func RunScenario(sc Scenario, sim Simulator, r *rng.Stream, budget Budget) (ScenarioReport, error) {
-	paths := make([]*markov.Path, sc.Paths)
-	var child rng.Stream
-	for i := range paths {
-		r.SplitInto(uint64(i), &child)
-		p, err := sim(sc.Ctx, sc.Tr, sc.Bias, sc.T0, sc.T1, &child)
-		if err != nil {
-			return ScenarioReport{Name: sc.Name, Note: sc.Note, Paths: sc.Paths},
-				fmt.Errorf("vv: scenario %s path %d: %w", sc.Name, i, err)
-		}
-		paths[i] = p
+	paths, _, err := sim(sc.Ctx, replicate(sc.Tr, sc.Paths), sc.Bias, sc.T0, sc.T1, 0, r)
+	if err != nil {
+		return ScenarioReport{Name: sc.Name, Note: sc.Note, Paths: sc.Paths},
+			fmt.Errorf("vv: scenario %s: %w", sc.Name, err)
 	}
 	return scenarioGates(sc, paths, budget)
 }
 
-// RunScenarioBatch draws the scenario's whole ensemble with one
-// markov.BatchState.Run call — every path is a lane of the SoA kernel —
-// and runs the identical gate battery. Lane k derives its stream via
-// r.SplitInto(k), exactly the derivation RunScenario's sequential loop
-// uses, so the resulting ScenarioReport is bit-identical to the
-// sequential one under the production simulator: the batch row re-proves
-// the paper's statistical conformance for the fast kernel at zero extra
-// analytic machinery.
-func RunScenarioBatch(sc Scenario, bs *markov.BatchState, r *rng.Stream, budget Budget) (ScenarioReport, error) {
-	traps := make([]trap.Trap, sc.Paths)
+// replicate returns n copies of tr: an ensemble of independent paths
+// of one trap is n lanes of the kernel.
+func replicate(tr trap.Trap, n int) []trap.Trap {
+	traps := make([]trap.Trap, n)
 	for i := range traps {
-		traps[i] = sc.Tr
+		traps[i] = tr
 	}
-	paths, err := bs.Run(sc.Ctx, traps, sc.Bias, sc.T0, sc.T1, r)
-	if err != nil {
-		return ScenarioReport{Name: sc.Name, Note: sc.Note, Paths: sc.Paths},
-			fmt.Errorf("vv: scenario %s batch: %w", sc.Name, err)
-	}
-	return scenarioGates(sc, paths, budget)
+	return traps
 }
 
 // scenarioGates runs the scenario's gate battery over an already-drawn

@@ -12,8 +12,8 @@ import (
 	"samurai/internal/waveform"
 )
 
-// Rare-event conformance: the importance-sampling kernel
-// (markov.UniformiseTilted) is gated for *unbiasedness* against the
+// Rare-event conformance: the importance-sampling path of the kernel
+// (markov.BatchState.Run under a tilt) is gated for *unbiasedness* against the
 // same closed-form Master reference the naive battery uses. Each rare
 // row draws an ensemble under one energy tilt and checks
 //
@@ -23,29 +23,15 @@ import (
 //   - weight-mean: Σ wᵢ/n matches its exactly-known expectation 1
 //     (the weight is the control variate with closed-form mean) —
 //     exact at tilt 0, CLT z otherwise;
-//   - lr-exact: every path's incrementally accumulated log-LR equals
-//     the post-hoc recomputation from its thinning record, to the bit;
-//   - tilt0-naive-identity (tilt-0 rows only): the tilted kernel's
-//     paths are bit-identical to markov.Uniformise on the same
-//     streams.
-//
-// Rare rows are always drawn through the sequential tilted kernel —
-// deliberately kernel-independent, so a sequential and a batch
-// conformance report differ only in their "kernel" field even when
-// rare rows are enabled.
+//   - lr-exact: every path's log-LR equals, to the bit, the log-LR of
+//     markov.Reference on the same stream, which in turn equals the
+//     post-hoc recomputation (markov.RecomputeLogLR) from the
+//     reference's thinning record;
+//   - tilt0-naive-identity (tilt-0 rows only): the kernel's paths are
+//     bit-identical to markov.Reference's on the same streams.
 
 var mVVRareRows = obs.GetCounter("samurai_vv_rare_rows_total",
 	"rare-event conformance rows executed")
-
-// RareSimulator draws one tilted path: the seam the broken-weight
-// detection tests substitute through. rec, when non-nil, receives the
-// candidate history (markov.ThinningRecord semantics).
-type RareSimulator func(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1, tiltEV float64, r *rng.Stream, rec *markov.ThinningRecord) (*markov.Path, float64, error)
-
-// DefaultRareSimulator is the production tilted kernel behind the seam.
-func DefaultRareSimulator(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1, tiltEV float64, r *rng.Stream, rec *markov.ThinningRecord) (*markov.Path, float64, error) {
-	return markov.UniformiseTilted(ctx, tr, markov.PWLBias(bias), t0, t1, tiltEV, r, rec)
-}
 
 // RareScenario is one row of the rare-event conformance matrix.
 type RareScenario struct {
@@ -131,10 +117,10 @@ func rareGateCount() int {
 	return n
 }
 
-// RunRareScenario draws the row's tilted ensemble through sim and runs
-// the unbiasedness gate battery. The attached ScenarioReport.Rare
+// RunRareScenario draws the row's tilted ensemble with one sim call and
+// runs the unbiasedness gate battery. The attached ScenarioReport.Rare
 // block carries the weighted aggregate (ESS, LR variance, CI width).
-func RunRareScenario(sc RareScenario, sim RareSimulator, r *rng.Stream, budget Budget) (ScenarioReport, error) {
+func RunRareScenario(sc RareScenario, sim Simulator, r *rng.Stream, budget Budget) (ScenarioReport, error) {
 	m, err := NewMaster(sc.Ctx, sc.Tr, sc.Bias)
 	if err != nil {
 		return ScenarioReport{}, fmt.Errorf("vv: rare row %s: %w", sc.Name, err)
@@ -152,24 +138,30 @@ func RunRareScenario(sc RareScenario, sim RareSimulator, r *rng.Stream, budget B
 	ref := m.Occupancy(sc.T0, sc.T1, p0)
 	zeroTilt := sc.TiltEV == 0
 
+	paths, logLRs, err := sim(sc.Ctx, replicate(sc.Tr, sc.Paths), sc.Bias, sc.T0, sc.T1, sc.TiltEV, r)
+	if err != nil {
+		return sr, fmt.Errorf("vv: rare row %s: %w", sc.Name, err)
+	}
 	var est rareevent.Estimator
 	weights := make([]float64, sc.Paths)
 	weighted := make([]float64, sc.Paths)
 	lrMismatches := 0
 	unitViolations := 0
 	identityViolations := 0
-	var child, twin rng.Stream
+	var child rng.Stream
 	var rec markov.ThinningRecord
-	for i := 0; i < sc.Paths; i++ {
+	for i, p := range paths {
+		logLR := logLRs[i]
+		// lr-exact: the kernel's log-LR must equal the literal
+		// reference's on the same stream, and that must equal the
+		// post-hoc recomputation from its candidate record, to the bit.
 		r.SplitInto(uint64(i), &child)
-		p, logLR, err := sim(sc.Ctx, sc.Tr, sc.Bias, sc.T0, sc.T1, sc.TiltEV, &child, &rec)
+		ref, refLR, err := markov.Reference(sc.Ctx, sc.Tr, sc.Bias.Eval, sc.T0, sc.T1, sc.TiltEV, &child, &rec)
 		if err != nil {
-			return sr, fmt.Errorf("vv: rare row %s path %d: %w", sc.Name, i, err)
+			return sr, fmt.Errorf("vv: rare row %s reference %d: %w", sc.Name, i, err)
 		}
-		// lr-exact: the incremental accumulation must equal the
-		// post-hoc recomputation from the candidate record to the bit.
-		post := markov.RecomputeLogLR(sc.Ctx, sc.Tr, markov.PWLBias(sc.Bias), sc.TiltEV, &rec)
-		if math.Float64bits(logLR) != math.Float64bits(post) {
+		post := markov.RecomputeLogLR(sc.Ctx, sc.Tr, sc.Bias.Eval, sc.TiltEV, &rec)
+		if math.Float64bits(logLR) != math.Float64bits(refLR) || math.Float64bits(refLR) != math.Float64bits(post) {
 			lrMismatches++
 		}
 		w := math.Exp(logLR)
@@ -184,15 +176,9 @@ func RunRareScenario(sc RareScenario, sim RareSimulator, r *rng.Stream, budget B
 			if math.Float64bits(w) != math.Float64bits(1.0) {
 				unitViolations++
 			}
-			// tilt0-naive-identity: re-derive the same child stream and
-			// draw with the naive kernel; the paths must agree bit for
-			// bit (same stream consumption, same arithmetic).
-			r.SplitInto(uint64(i), &twin)
-			naive, err := markov.Uniformise(sc.Ctx, sc.Tr, markov.PWLBias(sc.Bias), sc.T0, sc.T1, &twin)
-			if err != nil {
-				return sr, fmt.Errorf("vv: rare row %s naive twin %d: %w", sc.Name, i, err)
-			}
-			if !pathsBitEqual(p, naive) {
+			// tilt0-naive-identity: the kernel's path must agree bit for
+			// bit with the untilted reference's on the same stream.
+			if !pathsBitEqual(p, ref) {
 				identityViolations++
 			}
 		}
@@ -304,14 +290,13 @@ func RunRareMatrix(opts Options) (*Report, error) {
 	root := rng.New(opts.Seed)
 	rep := &Report{
 		Seed:         opts.Seed,
-		Kernel:       KernelSequential,
 		Alpha:        opts.Alpha,
 		Gates:        budget.Gates,
 		PerGateAlpha: budget.PerGate(),
 		Pass:         true,
 	}
 	for i, sc := range rows {
-		sr, err := RunRareScenario(sc, DefaultRareSimulator, root.Split(uint64(500+i)), budget)
+		sr, err := RunRareScenario(sc, opts.Sim, root.Split(uint64(500+i)), budget)
 		if err != nil {
 			return nil, err
 		}

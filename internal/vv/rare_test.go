@@ -90,50 +90,42 @@ func TestRareTiltZeroExact(t *testing.T) {
 	}
 }
 
-// brokenWeightSimulator wraps the production tilted kernel but drops
-// the LAST candidate's log-LR factor from every path — the classic
-// bookkeeping bug where one thinning term is missed. The path itself
-// and the thinning record stay honest. The last term is the one a
-// mean-based gate has power against: dropping an *early* factor
-// leaves the remaining product a conditional likelihood ratio (its
-// mean is still exactly 1 by the martingale property, and the
-// equilibrated occupancy forgets the early state to within e^-12), so
-// only the exact incremental-vs-recompute gate would see it. The last
-// factor is correlated with the terminal state, so its loss shifts
-// the occupancy estimate by orders of magnitude.
-func brokenWeightSimulator(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1, tiltEV float64, r *rng.Stream, rec *markov.ThinningRecord) (*markov.Path, float64, error) {
-	var local markov.ThinningRecord
-	p, logLR, err := markov.UniformiseTilted(ctx, tr, markov.PWLBias(bias), t0, t1, tiltEV, r, &local)
-	if err != nil {
-		return nil, 0, err
+// weightSimulator draws through the production kernel and then
+// re-derives each path's thinning record with markov.Reference on the
+// same stream. With dropLast it replaces every path's log-LR by the
+// recomputation over all but the LAST candidate — the classic
+// bookkeeping bug where one thinning term is missed, while the path
+// itself stays honest. The last term is the one a mean-based gate has
+// power against: dropping an *early* factor leaves the remaining
+// product a conditional likelihood ratio (its mean is still exactly 1
+// by the martingale property, and the equilibrated occupancy forgets
+// the early state to within e^-12), so only the exact lr-exact gate
+// would see it. The last factor is correlated with the terminal state,
+// so its loss shifts the occupancy estimate by orders of magnitude.
+// Without dropLast it is the honest twin through the same plumbing.
+func weightSimulator(dropLast bool) Simulator {
+	return func(ctx trap.Context, traps []trap.Trap, bias *waveform.PWL, t0, t1, tiltEV float64, r *rng.Stream) ([]*markov.Path, []float64, error) {
+		paths, lrs, err := new(markov.BatchState).Run(ctx, traps, bias, t0, t1, tiltEV, r)
+		if err != nil {
+			return nil, nil, err
+		}
+		var child rng.Stream
+		var rec markov.ThinningRecord
+		for k, tr := range traps {
+			r.SplitInto(uint64(k), &child)
+			if _, _, err := markov.Reference(ctx, tr, bias.Eval, t0, t1, tiltEV, &child, &rec); err != nil {
+				return nil, nil, err
+			}
+			if n := len(rec.Times); dropLast && n > 0 {
+				// Recomputing over the first n-1 candidates IS the sum
+				// with the last term dropped (RecomputeLogLR replays in
+				// candidate order).
+				prefix := markov.ThinningRecord{Times: rec.Times[:n-1], Accepts: rec.Accepts[:n-1]}
+				lrs[k] = markov.RecomputeLogLR(ctx, tr, bias.Eval, tiltEV, &prefix)
+			}
+		}
+		return paths, lrs, nil
 	}
-	if n := len(local.Times); n > 0 {
-		// Recomputing over the first n-1 candidates IS the sum with the
-		// last term dropped (RecomputeLogLR replays in candidate order).
-		prefix := markov.ThinningRecord{Times: local.Times[:n-1], Accepts: local.Accepts[:n-1]}
-		logLR = markov.RecomputeLogLR(ctx, tr, markov.PWLBias(bias), tiltEV, &prefix)
-	}
-	if rec != nil {
-		rec.Times = append(rec.Times[:0], local.Times...)
-		rec.Accepts = append(rec.Accepts[:0], local.Accepts...)
-	}
-	return p, logLR, nil
-}
-
-// honestWrapperSimulator routes through the identical wrapper plumbing
-// (local record, copy-out) without dropping the term — the sanity twin
-// that attributes the rejection below to the dropped factor alone.
-func honestWrapperSimulator(ctx trap.Context, tr trap.Trap, bias *waveform.PWL, t0, t1, tiltEV float64, r *rng.Stream, rec *markov.ThinningRecord) (*markov.Path, float64, error) {
-	var local markov.ThinningRecord
-	p, logLR, err := markov.UniformiseTilted(ctx, tr, markov.PWLBias(bias), t0, t1, tiltEV, r, &local)
-	if err != nil {
-		return nil, 0, err
-	}
-	if rec != nil {
-		rec.Times = append(rec.Times[:0], local.Times...)
-		rec.Accepts = append(rec.Accepts[:0], local.Accepts...)
-	}
-	return p, logLR, nil
 }
 
 // TestBrokenWeightCaught is the detection-power criterion of the rare
@@ -153,7 +145,7 @@ func TestBrokenWeightCaught(t *testing.T) {
 		t.Fatal("no rare-deep row")
 	}
 	budget := Budget{Alpha: DefaultAlpha, Gates: sc.GateCount()}
-	sr, err := RunRareScenario(sc, brokenWeightSimulator, rng.New(9), budget)
+	sr, err := RunRareScenario(sc, weightSimulator(true), rng.New(9), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +185,7 @@ func TestBrokenWeightSanity(t *testing.T) {
 		}
 	}
 	budget := Budget{Alpha: DefaultAlpha, Gates: sc.GateCount()}
-	sr, err := RunRareScenario(sc, honestWrapperSimulator, rng.New(9), budget)
+	sr, err := RunRareScenario(sc, weightSimulator(false), rng.New(9), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,36 +194,35 @@ func TestBrokenWeightSanity(t *testing.T) {
 	}
 }
 
-// TestRareRowsKernelIndependent: with rare rows enabled, sequential
-// and batch conformance reports must still be byte-identical apart
-// from the kernel field — the rare rows always draw through the
-// sequential tilted kernel, by design.
+// TestRareRowsKernelIndependent: with rare rows enabled, the report
+// drawn through the production kernel must be byte-identical to the
+// one drawn path by path through markov.Reference — the tilted lanes,
+// like the naive ones, are bit-identical to the literal kernel.
 func TestRareRowsKernelIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full double matrix skipped in -short")
 	}
-	seq, err := RunMatrix(Options{Seed: 7, Rare: true})
+	prod, err := RunMatrix(Options{Seed: 7, Rare: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := RunMatrix(Options{Seed: 7, Rare: true, Kernel: KernelBatch})
+	ref, err := RunMatrix(Options{Seed: 7, Rare: true, Sim: referenceSimulator})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seq.Pass || !bat.Pass {
-		t.Fatalf("rare-extended matrix failed: seq=%v bat=%v", seq.Pass, bat.Pass)
+	if !prod.Pass || !ref.Pass {
+		t.Fatalf("rare-extended matrix failed: prod=%v ref=%v", prod.Pass, ref.Pass)
 	}
-	bat.Kernel = seq.Kernel
-	a, err := json.Marshal(seq)
+	a, err := json.Marshal(prod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(bat)
+	b, err := json.Marshal(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("rare-extended batch and sequential reports diverge beyond the kernel field")
+		t.Fatalf("rare-extended production and reference reports diverge")
 	}
 }
 

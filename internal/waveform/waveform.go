@@ -44,6 +44,33 @@ func Constant(v float64) *PWL {
 	return &PWL{T: []float64{0}, V: []float64{v}}
 }
 
+// Square returns a square wave over [0, tf] that is hi on
+// [k·period, (k+duty)·period) and lo elsewhere. Each edge is two
+// breakpoints one ulp apart, so Eval returns exactly lo or hi at every
+// instant: the only interpolated interval is empty between them.
+func Square(lo, hi, period, duty, tf float64) *PWL {
+	switch {
+	case duty >= 1:
+		return Constant(hi)
+	case duty <= 0:
+		return Constant(lo)
+	}
+	w := &PWL{T: []float64{0}, V: []float64{hi}}
+	edge := func(t, from, to float64) bool {
+		if t > tf {
+			return false
+		}
+		w.T = append(w.T, math.Nextafter(t, math.Inf(-1)), t)
+		w.V = append(w.V, from, to)
+		return true
+	}
+	for k := 0.0; ; k++ {
+		if !edge((k+duty)*period, hi, lo) || !edge((k+1)*period, lo, hi) {
+			return w
+		}
+	}
+}
+
 // Eval returns the waveform value at time t, holding the first/last
 // value outside the breakpoint range.
 func (w *PWL) Eval(t float64) float64 {

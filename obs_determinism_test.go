@@ -206,7 +206,7 @@ func TestTraceChromeExportValid(t *testing.T) {
 	}
 	var doc struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
-		TraceEvents []struct {
+		TraceEvents     []struct {
 			Name string  `json:"name"`
 			Ph   string  `json:"ph"`
 			Pid  int     `json:"pid"`
@@ -261,4 +261,30 @@ func BenchmarkRun(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestTiltedRunSpanTree: the importance-sampling branch of the traps
+// pass attributes its Markov time like the naive branch — every one of
+// the six transistor spans carries a markov.uniformise child.
+func TestTiltedRunSpanTree(t *testing.T) {
+	ctx, tracer := tracedContext(5)
+	if _, err := samurai.RunCtx(ctx, samurai.Config{Seed: 5, TiltEV: -0.05}); err != nil {
+		t.Fatal(err)
+	}
+	spans := tracer.Snapshot()
+	byID := map[uint64]trace.SpanRec{}
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	covered := map[uint64]bool{}
+	for _, s := range spans {
+		if strings.HasSuffix(s.Path, "traps/transistor/markov.uniformise") {
+			if parent, ok := byID[s.Parent]; ok && strings.HasSuffix(parent.Path, "traps/transistor") {
+				covered[parent.Inst] = true
+			}
+		}
+	}
+	if len(covered) != len(sram.Transistors) {
+		t.Fatalf("markov.uniformise under %d of %d transistor spans", len(covered), len(sram.Transistors))
+	}
 }

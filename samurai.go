@@ -83,9 +83,9 @@ type Config struct {
 	Profiles map[string]trap.Profile
 	// TiltEV, when non-zero, samples every trap path under the
 	// importance-sampling energy tilt E → E+TiltEV (eV) and accumulates
-	// the exact log-likelihood ratio into Result.LogLR. Zero runs the
-	// untilted batch kernel — the tilted path with TiltEV == 0 is the
-	// same code path as a naive run, so results are bit-identical.
+	// the exact log-likelihood ratio into Result.LogLR. Zero samples
+	// the nominal law: the kernel takes its untilted loops and every
+	// log-LR is exactly 0.
 	TiltEV float64
 }
 
@@ -229,6 +229,13 @@ func cleanPass(ctx context.Context, cfg Config, wl, bl, blb *waveform.PWL) (*sra
 	return cleanCell, clean, nil
 }
 
+// batchStates recycles kernel workspaces across transistors and cells:
+// a BatchState holds 1 KiB of pre-drawn candidates per lane, which
+// would otherwise be reallocated for every transistor of every cell.
+// Run re-initialises every lane, so reuse changes only the capacity of
+// the returned paths, never their values.
+var batchStates = sync.Pool{New: func() any { return new(markov.BatchState) }}
+
 // trapsPass is methodology step 2: per-transistor trap sampling,
 // uniformisation (Algorithm 1) and Eq (3) trace composition, with the
 // composed traces installed into the returned RTN cell.
@@ -280,17 +287,18 @@ func trapsPass(ctx context.Context, cfg Config, cleanCell *sram.Cell, clean *sra
 				agg.Record(i, fmt.Errorf("samurai: bias for %s: %w", name, err))
 				return
 			}
-			if cfg.TiltEV != 0 {
-				// Importance-sampling pass: the tilted kernel draws
-				// from the same child stream the batch kernel would,
-				// and accumulates the exact per-profile log-LR.
-				o.paths, o.logLR, err = markov.UniformiseProfileTilted(profile, markov.PWLBias(vgs), t0, t1, cfg.TiltEV, root.Split(uint64(2000+i)))
-			} else {
-				// Batched SoA kernel: one shared segment walk over the bias
-				// PWL for the whole profile. Paths are bit-identical to the
-				// sequential per-trap kernel (TestBatchMatchesSequential),
-				// so goldens and resume points are unaffected.
-				o.paths, err = markov.UniformiseProfileBatchCtx(tctx, profile, vgs, t0, t1, root.Split(uint64(2000+i)))
+			// One compiled-kernel call for the whole profile: a shared
+			// segment walk over the bias PWL, with the energy tilt (0 =
+			// naive) applied inside the kernel. The profile's log-LR is
+			// the sum of its independent traps' log-LRs, in trap order.
+			_, usp := trace.Start(tctx, "markov.uniformise")
+			bs := batchStates.Get().(*markov.BatchState)
+			var lrs []float64
+			o.paths, lrs, err = bs.Run(profile.Ctx, profile.Traps, vgs, t0, t1, cfg.TiltEV, root.Split(uint64(2000+i)))
+			batchStates.Put(bs)
+			usp.End()
+			for _, l := range lrs {
+				o.logLR += l
 			}
 			if err != nil {
 				agg.Record(i, fmt.Errorf("samurai: uniformisation for %s: %w", name, err))
@@ -354,7 +362,7 @@ func GenerateTrace(profile trap.Profile, dev device.MOSParams, vgs, id *waveform
 		return nil, nil, errors.New("samurai: need at least 2 samples")
 	}
 	r := rng.New(seed)
-	paths, err := markov.UniformiseProfileBatch(profile, vgs, t0, t1, r)
+	paths, _, err := markov.NewBatchState().Run(profile.Ctx, profile.Traps, vgs, t0, t1, 0, r)
 	if err != nil {
 		return nil, nil, err
 	}
