@@ -225,6 +225,16 @@ func RunMatrix(opts Options) (*Report, error) {
 	return rep, nil
 }
 
+// replicate returns n copies of tr: an ensemble of independent paths
+// of one trap is n lanes of the kernel.
+func replicate(tr trap.Trap, n int) []trap.Trap {
+	traps := make([]trap.Trap, n)
+	for i := range traps {
+		traps[i] = tr
+	}
+	return traps
+}
+
 // RunScenario draws the scenario's path ensemble with one sim call —
 // path i from r.SplitInto(i) — and runs its gate battery against the
 // analytic Master reference. The budget is the report-wide
@@ -236,22 +246,6 @@ func RunScenario(sc Scenario, sim Simulator, r *rng.Stream, budget Budget) (Scen
 		return ScenarioReport{Name: sc.Name, Note: sc.Note, Paths: sc.Paths},
 			fmt.Errorf("vv: scenario %s: %w", sc.Name, err)
 	}
-	return scenarioGates(sc, paths, budget)
-}
-
-// replicate returns n copies of tr: an ensemble of independent paths
-// of one trap is n lanes of the kernel.
-func replicate(tr trap.Trap, n int) []trap.Trap {
-	traps := make([]trap.Trap, n)
-	for i := range traps {
-		traps[i] = tr
-	}
-	return traps
-}
-
-// scenarioGates runs the scenario's gate battery over an already-drawn
-// path ensemble against the analytic Master reference.
-func scenarioGates(sc Scenario, paths []*markov.Path, budget Budget) (ScenarioReport, error) {
 	m, err := NewMaster(sc.Ctx, sc.Tr, sc.Bias)
 	if err != nil {
 		return ScenarioReport{}, fmt.Errorf("vv: scenario %s: %w", sc.Name, err)

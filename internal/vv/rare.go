@@ -12,10 +12,10 @@ import (
 	"samurai/internal/waveform"
 )
 
-// Rare-event conformance: the importance-sampling path of the kernel
-// (markov.BatchState.Run under a tilt) is gated for *unbiasedness* against the
-// same closed-form Master reference the naive battery uses. Each rare
-// row draws an ensemble under one energy tilt and checks
+// Rare-event conformance: the kernel (markov.BatchState.Run) sampling
+// under an energy tilt is gated for *unbiasedness* against the same
+// closed-form Master reference the naive battery uses. Each rare row
+// draws an ensemble under one energy tilt and checks
 //
 //   - is-mean: the weighted occupancy estimate Σ wᵢxᵢ/n matches the
 //     analytic p(T1) — exact binomial at tilt 0 (weights are unit),
